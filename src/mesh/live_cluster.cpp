@@ -309,35 +309,21 @@ LiveCluster::Report LiveCluster::run_all_pairs(
         port.register_stats = [&mesh](telemetry::NodeStatsFn fn) {
           mesh.register_stats(std::move(fn));
         };
-        // Shared (not per-copy) sequence: std::function copies must not
-        // fork the sampling stream.
-        auto result_seq = std::make_shared<std::atomic<std::uint64_t>>(0);
         node_reports[id] = rt.run_partition(
             app, *node_store,
-            [&transport, &meshes, &span_logs, this, id,
-             result_seq](const runtime::PairResult& r) {
-              // Deliver-hop sampling (§16): every Nth result by seeded
-              // hash of a per-node sequence roots a result.deliver span
-              // here; the master records the arrival child, giving the
-              // worker→master flow arrow.
-              telemetry::SpanContext ctx;
-              if (config_.trace_sample_n > 0 && span_logs[id] != nullptr) {
-                ctx = telemetry::make_trace(
-                    config_.node.seed,
-                    telemetry::span_mix(0x72736c74 /* 'rslt' */ ^ id) ^
-                        result_seq->fetch_add(1, std::memory_order_relaxed),
-                    config_.trace_sample_n);
-                if (ctx.sampled()) {
-                  const double now = trace_now();
-                  span_logs[id]->record(ctx, telemetry::SpanPhase::kDeliver,
-                                        now, now);
-                }
-              }
-              // Route to the CURRENT master: after a failover the
-              // adopter aggregates, and anything still in flight to the
-              // corpse is covered by its conservative re-grant.
+            [&transport, &meshes, id](runtime::ResultBatch&& batch) {
+              // One message per tile. A sampled tile's result.deliver span
+              // rides along; the master records the arrival child, giving
+              // the worker→master flow arrow (§16). Route to the CURRENT
+              // master: after a failover the adopter aggregates, and
+              // anything still in flight to the corpse is covered by its
+              // conservative re-grant.
+              const Bytes payload =
+                  batch.results.size() * sizeof(runtime::PairResult);
               transport.send(id, meshes[id]->current_master(),
-                             net::Tag::kResult, ResultMsg{r, ctx});
+                             net::Tag::kResult,
+                             ResultMsg{std::move(batch.results), batch.span},
+                             payload);
             },
             port);
       } catch (...) {

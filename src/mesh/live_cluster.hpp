@@ -134,7 +134,8 @@ struct LiveClusterConfig {
   /// ignored (fresh start). Requires checkpoint_store.
   bool resume = false;
 
-  /// Master result-batch size for the mirror→journal→deliver flush unit
+  /// Master result-batch size for the mirror→journal→deliver flush unit,
+  /// in pairs — independent of how many pairs one result message carries
   /// (only active when failover or a journal is enabled).
   std::uint32_t journal_batch_pairs = 64;
 

@@ -772,37 +772,47 @@ void MeshNode::on_result_msg(const ResultMsg& msg) {
   // one, but guard anyway: acting would fork the aggregation.
   if (!is_master()) return;
   if (msg.span.sampled()) {
-    // Arrival edge of a sampled result-delivery hop (worker → master).
+    // Arrival edge of a sampled tile's result-delivery hop (worker →
+    // master); its parent is the tile's result.deliver span.
     const double now = trace_now();
     record_child_span(msg.span, 0x6d737472 /* 'mstr' */,
                       telemetry::SpanPhase::kDeliver, now, now);
   }
-  ++failover_.results_received;
-  if (ledger_ != nullptr &&
-      !ledger_->record(msg.result.left, msg.result.right)) {
-    // Duplicate: a re-executed pair whose original owner also delivered,
-    // or a late result from a node declared dead. Dropped, never
-    // double-counted — the exactly-once invariant (DESIGN.md §12).
-    return;
-  }
   const bool durable = cfg_.failover || cfg_.journal != nullptr;
-  if (!durable) {
-    // Pre-durability fast path: deliver immediately, bit-identical to
-    // the behaviour before batching existed.
-    if (cfg_.on_result) cfg_.on_result(msg.result);
-    ++results_seen_;
-    if (results_seen_ == cfg_.expected_pairs && !completed_ &&
-        cfg_.on_complete) {
-      completed_ = true;
-      cfg_.on_complete();
+  // The batch is one tile's results; dedup, delivery and flushing stay
+  // per pair. The death check the serve loop makes between messages is
+  // repeated between pairs, so a kill stops the walk mid-batch exactly
+  // where a per-pair message stream would have stopped.
+  for (const runtime::PairResult& result : msg.results) {
+    if (transport_.is_node_down(cfg_.id)) {
+      crashed_ = true;
+      return;
     }
-    return;
-  }
-  batch_.push_back(msg.result);
-  note_region_progress(msg.result);
-  if (batch_.size() >= cfg_.result_batch_pairs ||
-      results_seen_ + batch_.size() >= cfg_.expected_pairs) {
-    flush_results();
+    ++failover_.results_received;
+    if (ledger_ != nullptr && !ledger_->record(result.left, result.right)) {
+      // Duplicate: a re-executed pair whose original owner also
+      // delivered, or a late result from a node declared dead. Dropped,
+      // never double-counted — the exactly-once invariant (DESIGN.md §12).
+      continue;
+    }
+    if (!durable) {
+      // Pre-durability fast path: deliver immediately, bit-identical to
+      // the behaviour before flush batching existed.
+      if (cfg_.on_result) cfg_.on_result(result);
+      ++results_seen_;
+      if (results_seen_ == cfg_.expected_pairs && !completed_ &&
+          cfg_.on_complete) {
+        completed_ = true;
+        cfg_.on_complete();
+      }
+      continue;
+    }
+    batch_.push_back(result);
+    note_region_progress(result);
+    if (batch_.size() >= cfg_.result_batch_pairs ||
+        results_seen_ + batch_.size() >= cfg_.expected_pairs) {
+      flush_results();
+    }
   }
 }
 

@@ -88,7 +88,7 @@ struct FailoverStats {
   std::uint64_t node_deaths = 0;        // master: death verdicts issued
   std::uint64_t regions_reexecuted = 0; // master: regions re-granted
   std::uint64_t duplicate_results_dropped = 0;  // master: dedup drops
-  std::uint64_t results_received = 0;   // master: raw ResultMsg count
+  std::uint64_t results_received = 0;   // master: pairs received, pre-dedup
   std::uint64_t regions_adopted = 0;    // re-execution grants parked here
   std::uint64_t master_failovers = 0;   // this node adopted the master role
 
@@ -163,9 +163,10 @@ class MeshNode final : public runtime::PeerFetchClient {
     telemetry::FlightRecorder* flight = nullptr;
 
     /// Deterministic message-level sampling for spans the mesh roots
-    /// itself (steals, re-grants, result-delivery hops): every Nth by
-    /// seeded hash. 0 disables mesh-rooted spans; propagated contexts on
-    /// incoming messages are honoured regardless.
+    /// itself (steals, re-grants): every Nth by seeded hash. 0 disables
+    /// mesh-rooted spans; propagated contexts on incoming messages (a
+    /// sampled tile's result delivery among them) are honoured
+    /// regardless.
     std::uint32_t trace_sample_n = 0;
 
     /// Master only: fired on the service thread with each fresh
@@ -239,9 +240,10 @@ class MeshNode final : public runtime::PeerFetchClient {
 
     /// Master: accepted results buffer until this many are pending (or
     /// the run completes), then flush as one unit: standby mirror →
-    /// journal append → user delivery. Only batched when failover or a
-    /// journal is active — otherwise results deliver immediately, as
-    /// before the durability layer existed.
+    /// journal append → user delivery. Counted in pairs, so a flush can
+    /// fall mid-way through one result message. Only batched when
+    /// failover or a journal is active — otherwise results deliver
+    /// immediately, as before the durability layer existed.
     std::uint32_t result_batch_pairs = 64;
   };
 

@@ -80,9 +80,12 @@ void fold_body(std::uint32_t& crc, const StealReply& b) {
 }
 
 void fold_body(std::uint32_t& crc, const ResultMsg& b) {
-  fold(crc, b.result.left);
-  fold(crc, b.result.right);
-  fold(crc, b.result.score);
+  fold(crc, static_cast<std::uint64_t>(b.results.size()));
+  for (const runtime::PairResult& result : b.results) {
+    fold(crc, result.left);
+    fold(crc, result.right);
+    fold(crc, result.score);
+  }
   fold_span(crc, b.span);
 }
 
@@ -165,7 +168,11 @@ void corrupt_body(MessageBody& body) {
         } else if constexpr (std::is_same_v<T, StealReply>) {
           b.region.col_end ^= 1u;
         } else if constexpr (std::is_same_v<T, ResultMsg>) {
-          b.result.left ^= 1u;
+          if (!b.results.empty()) {
+            b.results[b.results.size() / 2].left ^= 1u;
+          } else {
+            b.span.span_id ^= 1u;
+          }
         } else if constexpr (std::is_same_v<T, Heartbeat>) {
           b.seq ^= 1u;
         } else if constexpr (std::is_same_v<T, NodeDown>) {

@@ -94,10 +94,12 @@ struct StealReply {
   telemetry::SpanContext span;  // victim's serve span (flow arrow source)
 };
 
-/// Worker node → master: one completed pair.
+/// Worker node → master: one tile's completed pairs (a single pair on the
+/// per-pair execution path). The master dedups and delivers per pair, so
+/// a batch may be partly duplicate (DESIGN.md §12.4).
 struct ResultMsg {
-  runtime::PairResult result{0, 0, 0.0};
-  telemetry::SpanContext span;  // sampled deliver hop (every Nth message)
+  std::vector<runtime::PairResult> results;
+  telemetry::SpanContext span;  // sampled tile's result.deliver span
 };
 
 /// Node → master: periodic liveness lease renewal. The master's failure

@@ -131,7 +131,7 @@ struct Engine {
   const NodeRuntime::Config& cfg;
   const Application& app;
   storage::ObjectStore& store;
-  const NodeRuntime::ResultFn& on_result;
+  const NodeRuntime::BatchFn& on_batch;
   Profiler profiler;
 
   /// Hot-seam instruments (DESIGN.md §13). Recording is lock-free (striped
@@ -142,7 +142,7 @@ struct Engine {
   telemetry::LatencyHistogram* tile_latency = nullptr;    // submit → finish
   telemetry::LatencyHistogram* tile_load_wait = nullptr;  // submit → resolved
   telemetry::LatencyHistogram* cache_wait = nullptr;      // queued grants
-  telemetry::Gauge* result_depth = nullptr;   // result_q occupancy
+  telemetry::Gauge* result_depth = nullptr;   // result_q occupancy, pairs
   telemetry::Gauge* loads_inflight = nullptr; // LoadOps out of the pool
 
   std::vector<std::unique_ptr<DeviceState>> devices;
@@ -180,10 +180,10 @@ struct Engine {
   }
 
   /// Completed results flow through this queue to one dedicated consumer
-  /// thread, which is the only caller of on_result — compare/postprocess
-  /// threads just enqueue (a tile flushes its whole buffer in one bulk
-  /// push) and never serialize on the user callback.
-  MpmcQueue<PairResult> result_q;
+  /// thread, which is the only caller of on_batch — compare/postprocess
+  /// threads just enqueue (a tile moves its whole buffer in as one entry)
+  /// and never serialize on the sink.
+  MpmcQueue<ResultBatch> result_q;
 
   /// Cluster peer-fetch hook (mesh runs only; null single-node).
   PeerFetchClient* peer_fetch = nullptr;
@@ -203,9 +203,9 @@ struct Engine {
 
   Engine(const NodeRuntime::Config& config, const Application& application,
          storage::ObjectStore& object_store,
-         const NodeRuntime::ResultFn& result_fn)
+         const NodeRuntime::BatchFn& batch_fn)
       : cfg(config), app(application), store(object_store),
-        on_result(result_fn),
+        on_batch(batch_fn),
         profiler(config.trace, config.max_spans_per_lane),
         metrics(config.telemetry) {
     if (!config.telemetry) profiler.set_enabled(false);
@@ -716,7 +716,8 @@ struct Job final : LoadClient {
         const double final_score =
             eng.app.postprocess(items[0], items[1], score);
         eng.result_depth->add(1);
-        eng.result_q.push(PairResult{items[0], items[1], final_score});
+        eng.result_q.push(
+            ResultBatch{{PairResult{items[0], items[1], final_score}}, {}});
         dev.cache->release(pins[0]);
         dev.cache->release(pins[1]);
         dev.pairs.fetch_add(1, std::memory_order_relaxed);
@@ -735,8 +736,10 @@ struct Job final : LoadClient {
       if (pins[k] != cache::kInvalidSlot) dev.cache->release(pins[k]);
     }
     eng.result_depth->add(1);
-    eng.result_q.push(PairResult{items[0], items[1],
-                                 std::numeric_limits<double>::quiet_NaN()});
+    eng.result_q.push(ResultBatch{
+        {PairResult{items[0], items[1],
+                    std::numeric_limits<double>::quiet_NaN()}},
+        {}});
     // Failed pairs still count as processed by this device (the tile path
     // counts every emitted result), so per-device accounting always sums
     // to Report.pairs in both modes.
@@ -752,10 +755,11 @@ struct Job final : LoadClient {
 /// One leaf region executed as a single job: the tile's whole working set
 /// is pinned through one batched cache acquire (one mutex acquisition, the
 /// load pipeline runs only for the missing items), every compare of the
-/// tile runs inside one GPU-queue task, and the tile's results flush to
-/// on_result under one lock. This is the paper's locality argument carried
-/// through to the execution layer: a leaf's small working set is pinned
-/// once and reused across all of its pairs.
+/// tile runs inside one GPU-queue task, and the tile's results leave as
+/// one result-queue entry — in a mesh run, one message to the master. This
+/// is the paper's locality argument carried through to the execution
+/// layer: a leaf's small working set is pinned once and reused across all
+/// of its pairs.
 struct TileJob final : LoadClient {
   Engine& eng;
   DeviceState& dev;
@@ -999,9 +1003,9 @@ struct TileJob final : LoadClient {
     });
   }
 
-  /// Post-process on the CPU pool, hand the tile's buffered results to
-  /// the result consumer in one bulk queue push, release every pin in one
-  /// batched (per-shard) pass.
+  /// Post-process on the CPU pool, move the tile's buffered results into
+  /// the result queue as one entry, release every pin in one batched
+  /// (per-shard) pass.
   void finish() {
     const double t_deliver = trace_ctx.sampled() ? trace_now() : 0.0;
     // Failed pairs keep their NaN sentinel (matching Job::fail_pair);
@@ -1014,18 +1018,22 @@ struct TileJob final : LoadClient {
         r.score = eng.app.postprocess(r.left, r.right, r.score);
       }
     }
+    // The result.deliver child rides the batch, so in a mesh run the
+    // master's arrival span links back into this tile's DAG.
+    const telemetry::SpanContext deliver_ctx =
+        trace_ctx.sampled()
+            ? telemetry::child_of(trace_ctx, 0x646c7672 /* 'dlvr' */)
+            : telemetry::SpanContext{};
     const std::size_t flushed = results.size();
     eng.result_depth->add(static_cast<std::int64_t>(flushed));
-    eng.result_q.push_bulk(results);
+    eng.result_q.push(ResultBatch{std::move(results), deliver_ctx});
     eng.tile_latency->record_seconds(seconds_since_submit());
     if (trace_ctx.sampled()) {
-      // result.deliver child covers postprocess + the bulk flush; the tile
-      // root closes with it. The cross-node deliver hop (ResultMsg to the
-      // master) is recorded by the mesh layer with its own context.
+      // result.deliver covers postprocess + the queue push; the tile root
+      // closes with it.
       const double now = trace_now();
-      eng.cfg.span_log->record(
-          telemetry::child_of(trace_ctx, 0x646c7672 /* 'dlvr' */),
-          telemetry::SpanPhase::kDeliver, t_deliver, now);
+      eng.cfg.span_log->record(deliver_ctx, telemetry::SpanPhase::kDeliver,
+                               t_deliver, now);
       eng.cfg.span_log->close(trace_ctx.span_id, now);
     }
     std::vector<cache::SlotId> pins;
@@ -1093,25 +1101,30 @@ struct HostProbe final : HostCacheProbe {
 NodeRuntime::Report NodeRuntime::run(const Application& app,
                                      storage::ObjectStore& store,
                                      const ResultFn& on_result) {
-  return run_impl(app, store, on_result, nullptr);
+  return run_impl(
+      app, store,
+      [&on_result](ResultBatch&& batch) {
+        for (const PairResult& r : batch.results) on_result(r);
+      },
+      nullptr);
 }
 
 NodeRuntime::Report NodeRuntime::run_partition(const Application& app,
                                                storage::ObjectStore& store,
-                                               const ResultFn& on_result,
+                                               const BatchFn& on_batch,
                                                const MeshPort& port) {
-  return run_impl(app, store, on_result, &port);
+  return run_impl(app, store, on_batch, &port);
 }
 
 NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
                                           storage::ObjectStore& store,
-                                          const ResultFn& on_result,
+                                          const BatchFn& on_batch,
                                           const MeshPort* port) {
   ROCKET_CHECK(!config_.devices.empty(), "runtime needs at least one device");
   const std::uint32_t n = app.item_count();
   const std::uint64_t total_pairs = dnc::count_pairs(dnc::root_region(n));
 
-  Engine eng(config_, app, store, on_result);
+  Engine eng(config_, app, store, on_batch);
   // In-flight gauge (see Engine::done): leaves count up, completions count
   // down, waited on once submission has finished.
   eng.done = std::make_unique<CountdownLatch>(0);
@@ -1250,17 +1263,19 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
   }
 
   // Resource threads (§4.3): I/O, CPU pool, per-device GPU/H2D/D2H, and
-  // the single result consumer — the only thread that ever calls the user
-  // callback, so result delivery stays serialised without a lock on the
+  // the single result consumer — the only thread that ever calls the
+  // sink, so result delivery stays serialised without a lock on the
   // compare/postprocess path.
   std::vector<std::thread> threads;
   threads.emplace_back([&eng] { drain(eng.io_q); });
   threads.emplace_back([&eng] {
     for (;;) {
-      auto batch = eng.result_q.pop_bulk(64);
-      if (batch.empty()) return;
-      eng.result_depth->sub(static_cast<std::int64_t>(batch.size()));
-      for (const auto& r : batch) eng.on_result(r);
+      auto entries = eng.result_q.pop_bulk(64);
+      if (entries.empty()) return;
+      for (ResultBatch& entry : entries) {
+        eng.result_depth->sub(static_cast<std::int64_t>(entry.results.size()));
+        eng.on_batch(std::move(entry));
+      }
     }
   });
   for (std::uint32_t c = 0; c < config_.cpu_threads; ++c) {

@@ -76,6 +76,15 @@ struct MeshPort {
   std::function<void(telemetry::NodeStatsFn)> register_stats;
 };
 
+/// The runtime's unit of result delivery: one tile's results (a single
+/// pair on the per-pair path), handed over whole by the result consumer.
+struct ResultBatch {
+  std::vector<PairResult> results;
+  /// The tile's sampled result.deliver span (DESIGN.md §16); zero ids
+  /// when the tile was not sampled.
+  telemetry::SpanContext span;
+};
+
 class NodeRuntime {
  public:
   struct Config {
@@ -107,9 +116,10 @@ class NodeRuntime {
 
     /// Execute leaf regions as single tile jobs: the whole working set is
     /// pinned through one batched cache acquire, every compare of the tile
-    /// runs as one GPU-queue task, and results flush to on_result in one
-    /// locked batch. false selects the historical per-pair job pipeline
-    /// (kept for head-to-head benchmarking; results are mode-invariant).
+    /// runs as one GPU-queue task, and the tile's results enter the result
+    /// queue as one entry. false selects the historical per-pair job
+    /// pipeline (kept for head-to-head benchmarking; results are
+    /// mode-invariant).
     bool tile_batching = true;
 
     /// Look-ahead prefetch window per device, in tiles (tile-batched mode
@@ -245,6 +255,10 @@ class NodeRuntime {
   /// Called once per completed pair, serialised by the runtime.
   using ResultFn = std::function<void(const PairResult&)>;
 
+  /// Called once per result batch, serialised by the runtime; the batch
+  /// is the callee's to keep.
+  using BatchFn = std::function<void(ResultBatch&&)>;
+
   explicit NodeRuntime(Config config) : config_(std::move(config)) {}
 
   /// Run the full all-pairs computation for `app`, reading inputs from
@@ -254,17 +268,18 @@ class NodeRuntime {
 
   /// Run one node's share of a live mesh computation: execute
   /// `port.regions` (plus anything stolen from peers), serving peer cache
-  /// probes and steal requests meanwhile. `pairs` in the report counts
-  /// pairs this node executed. Blocks until `port.global_done` — i.e.
-  /// until the whole cluster finished, not just this node.
+  /// probes and steal requests meanwhile. Results leave a tile at a time
+  /// through `on_batch`. `pairs` in the report counts pairs this node
+  /// executed. Blocks until `port.global_done` — i.e. until the whole
+  /// cluster finished, not just this node.
   Report run_partition(const Application& app, storage::ObjectStore& store,
-                       const ResultFn& on_result, const MeshPort& port);
+                       const BatchFn& on_batch, const MeshPort& port);
 
   const Config& config() const { return config_; }
 
  private:
   Report run_impl(const Application& app, storage::ObjectStore& store,
-                  const ResultFn& on_result, const MeshPort* port);
+                  const BatchFn& on_batch, const MeshPort* port);
 
   Config config_;
 };

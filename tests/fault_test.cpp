@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
 #include <map>
 #include <mutex>
 #include <set>
@@ -715,6 +717,97 @@ TEST(InProcessTransport, FrameCrcCoversEveryBodyAlternative) {
   EXPECT_EQ(frame_crc(a), frame_crc(MessageBody{CacheRequest{1, 0}}));
   EXPECT_NE(frame_crc(MessageBody{Heartbeat{1, 0}}),
             frame_crc(MessageBody{NodeDown{1, 0}}));
+
+  // Batched results: one result's score, the order of the results, and
+  // the batch length each change the frame.
+  const std::vector<PairResult> batch{{0, 1, 0.5}, {0, 2, 1.5}, {1, 2, -3.0}};
+  std::vector<PairResult> rescored = batch;
+  rescored[1].score = 1.25;
+  std::vector<PairResult> reordered = batch;
+  std::swap(reordered[0], reordered[2]);
+  std::vector<PairResult> shorter = batch;
+  shorter.pop_back();
+  const std::uint32_t base = frame_crc(MessageBody{ResultMsg{batch, {}}});
+  EXPECT_EQ(base, frame_crc(MessageBody{ResultMsg{batch, {}}}));
+  const std::set<std::uint32_t> crcs{
+      base, frame_crc(MessageBody{ResultMsg{rescored, {}}}),
+      frame_crc(MessageBody{ResultMsg{reordered, {}}}),
+      frame_crc(MessageBody{ResultMsg{shorter, {}}}),
+      frame_crc(MessageBody{ResultMsg{{}, {}}})};
+  EXPECT_EQ(crcs.size(), 5u);
+}
+
+/// Field-by-field equality of two result batches (PairResult has no ==).
+bool same_results(const std::vector<PairResult>& a,
+                  const std::vector<PairResult>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const PairResult& x, const PairResult& y) {
+                      return x.left == y.left && x.right == y.right &&
+                             x.score == y.score;
+                    });
+}
+
+TEST(InProcessTransport, CorruptInjectorManglesAResultOfABatch) {
+  InProcessTransport::Config tc;
+  tc.corrupt_rate = 1.0;
+  InProcessTransport transport(2, tc);
+  const std::vector<PairResult> batch{
+      {0, 1, 0.5}, {0, 2, 1.5}, {1, 2, -3.0}, {0, 3, 2.0}, {1, 3, 0.0}};
+  const telemetry::SpanContext span{7, 8, 9};
+  ASSERT_TRUE(transport.send(1, 0, net::Tag::kResult, ResultMsg{batch, span}));
+
+  // The mangled copy differs in a result field, not only in the span, and
+  // fails verification...
+  const auto mangled = transport.recv(0);
+  ASSERT_TRUE(mangled.has_value());
+  EXPECT_NE(frame_crc(mangled->body), mangled->crc);
+  const auto& bad = std::get<ResultMsg>(mangled->body);
+  EXPECT_EQ(bad.results.size(), batch.size());
+  EXPECT_EQ(bad.span.span_id, span.span_id);
+  EXPECT_FALSE(same_results(bad.results, batch));
+
+  // ...while the clean retransmit carries the batch intact.
+  const auto clean = transport.recv(0);
+  ASSERT_TRUE(clean.has_value());
+  EXPECT_EQ(frame_crc(clean->body), clean->crc);
+  EXPECT_TRUE(same_results(std::get<ResultMsg>(clean->body).results, batch));
+  transport.close();
+}
+
+TEST(MeshNode, MasterDropsAMangledBatchAndDeliversTheCleanOne) {
+  InProcessTransport::Config tc;
+  tc.corrupt_rate = 1.0;
+  InProcessTransport transport(2, tc);
+  auto done = std::make_shared<std::atomic<bool>>(false);
+  const std::vector<PairResult> batch{
+      {0, 1, 0.5}, {0, 2, 1.5}, {1, 2, -3.0}, {0, 3, 2.0}, {1, 3, 0.0}};
+
+  std::vector<PairResult> delivered;  // service thread only until join
+  std::promise<void> completed;
+  MeshNode::Config mc;
+  mc.id = MeshNode::kMaster;
+  mc.expected_pairs = batch.size();
+  mc.on_result = [&](const PairResult& r) { delivered.push_back(r); };
+  mc.on_complete = [&] { completed.set_value(); };
+  MeshNode master(mc, transport, done);
+  master.start();
+
+  ASSERT_TRUE(transport.send(1, MeshNode::kMaster, net::Tag::kResult,
+                             ResultMsg{batch, {}}));
+  ASSERT_EQ(completed.get_future().wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  transport.close();
+  master.join();
+
+  // Exactly the clean batch, in order: the mangled twin never reached
+  // the aggregation.
+  EXPECT_TRUE(same_results(delivered, batch));
+  EXPECT_EQ(master.failover_stats().results_received, batch.size());
+  std::uint64_t dropped = 0;
+  for (const auto& [name, value] : master.metrics_snapshot().counters) {
+    if (name == "net.frame_corrupt") dropped = value;
+  }
+  EXPECT_EQ(dropped, 1u);
 }
 
 // --- checkpoint journal: round trip and torn-tail fuzz ---------------------
@@ -905,11 +998,14 @@ struct DurableOutcome {
 /// The run_chaos cluster with the durability layer fully engaged: small
 /// flush batches (so crashes land between flushes), an optional journal,
 /// and a callback safe against the master role moving across service
-/// threads mid-run.
+/// threads mid-run. `multi_pair_tiles` allows one tile in flight per
+/// device, which lets a tile's working set grow to a whole cache shard:
+/// tiles, and so result messages, then carry many pairs each.
 DurableOutcome run_durable(const runtime::Application& app,
                            storage::ObjectStore& store, FaultSchedule faults,
                            storage::ObjectStore* checkpoint = nullptr,
-                           bool resume = false) {
+                           bool resume = false,
+                           bool multi_pair_tiles = false) {
   LiveClusterConfig cfg;
   cfg.num_nodes = 4;
   cfg.node.devices = {gpu::titanx_maxwell()};
@@ -923,6 +1019,7 @@ DurableOutcome run_durable(const runtime::Application& app,
   cfg.fetch_timeout_s = 0.02;
   cfg.max_fetch_retries = 2;
   cfg.journal_batch_pairs = 8;
+  if (multi_pair_tiles) cfg.node.job_limit_per_worker = 1;
   cfg.checkpoint_store = checkpoint;
   cfg.resume = resume;
   cfg.faults = std::move(faults);
@@ -1057,6 +1154,123 @@ TEST(Checkpoint, KillAllThenResumeRoundTrip) {
         << ") delivered by both runs";
   }
   EXPECT_EQ(combined, expected);
+}
+
+// --- multi-pair result batches under failure --------------------------------
+//
+// The chaos scenarios above run 2-item tiles, so each of their result
+// messages carries one pair. These rerun a worker kill, a master kill and
+// the kill-all/resume round trip with multi-pair tiles, so whole batches
+// go through dedup, re-execution, failover and journal replay — and a
+// flush of journal_batch_pairs = 8 regularly falls mid-message.
+
+/// 20 forensics items; with one tile in flight per device the run
+/// executes ~16 tiles of ~12 pairs.
+struct MultiPairInputs {
+  storage::MemoryStore store;
+  apps::ForensicsDataset dataset;
+  apps::ForensicsApplication app;
+  ResultMap expected;
+
+  static apps::ForensicsConfig config() {
+    apps::ForensicsConfig fc;
+    fc.cameras = 4;
+    fc.images_per_camera = 5;
+    fc.width = 48;
+    fc.height = 40;
+    fc.seed = 67;
+    return fc;
+  }
+
+  MultiPairInputs()
+      : dataset(config(), store), app(dataset),
+        expected(single_node_reference(app, store)) {}
+};
+
+/// Exact single-node multiset, every pair delivered once, and results
+/// that really travelled in multi-pair messages.
+void expect_exact_batched(const DurableOutcome& outcome,
+                          const ResultMap& expected) {
+  EXPECT_EQ(outcome.results, expected);
+  EXPECT_EQ(outcome.report.pairs, expected.size());
+  for (const auto& [pair, count] : outcome.counts) {
+    EXPECT_EQ(count, 1) << "pair (" << pair.first << "," << pair.second
+                        << ") delivered " << count << " times";
+  }
+  EXPECT_LT(outcome.report.traffic
+                .per_tag[static_cast<std::size_t>(net::Tag::kResult)]
+                .messages,
+            expected.size() / 2)
+      << "result messages must carry several pairs each";
+}
+
+TEST(MultiPairBatches, WorkerKillPreservesExactResults) {
+  MultiPairInputs in;
+  for (const std::uint64_t after : {20ull, 60ull}) {
+    SCOPED_TRACE("kill node 2 after " + std::to_string(after) + " messages");
+    FaultSchedule schedule;
+    schedule.faults.push_back(Fault{2, after, 0.0});
+    const auto outcome = run_durable(in.app, in.store, std::move(schedule),
+                                     nullptr, false, /*multi_pair_tiles=*/true);
+    expect_exact_batched(outcome, in.expected);
+    EXPECT_GE(outcome.report.node_deaths, 1u);
+    EXPECT_GT(outcome.report.regions_reexecuted, 0u)
+        << "the kill must land mid-run and orphan work";
+    EXPECT_EQ(outcome.report.failover.results_received,
+              outcome.report.pairs + outcome.report.duplicate_results_dropped)
+        << "results_received counts pairs, each delivered once or dropped";
+  }
+}
+
+TEST(MultiPairBatches, MasterKillPreservesExactResults) {
+  MultiPairInputs in;
+  for (const std::uint64_t after : {20ull, 60ull}) {
+    SCOPED_TRACE("kill master after " + std::to_string(after) + " messages");
+    FaultSchedule schedule;
+    schedule.faults.push_back(Fault{0, after, 0.0});
+    const auto outcome = run_durable(in.app, in.store, std::move(schedule),
+                                     nullptr, false, /*multi_pair_tiles=*/true);
+    expect_exact_batched(outcome, in.expected);
+    EXPECT_GE(outcome.report.master_failovers, 1u)
+        << "the kill must land mid-run and hand the master role over";
+    EXPECT_GE(outcome.report.failover.results_received,
+              outcome.report.pairs +
+                  outcome.report.duplicate_results_dropped);
+  }
+}
+
+TEST(MultiPairBatches, KillAllThenResumeRoundTrip) {
+  MultiPairInputs in;
+  storage::MemoryStore checkpoint_store;
+  FaultSchedule schedule;
+  schedule.faults.push_back(Fault{1, 30, 0.0});
+  schedule.faults.push_back(Fault{2, 40, 0.0});
+  schedule.faults.push_back(Fault{3, 50, 0.0});
+  schedule.faults.push_back(Fault{0, 80, 0.0});
+  const auto first = run_durable(in.app, in.store, std::move(schedule),
+                                 &checkpoint_store, false,
+                                 /*multi_pair_tiles=*/true);
+  EXPECT_LT(first.results.size(), in.expected.size())
+      << "the whole cluster died mid-run";
+  EXPECT_GT(first.results.size(), 0u)
+      << "batches were journalled before the master died";
+  for (const auto& [pair, count] : first.counts) EXPECT_EQ(count, 1);
+
+  const auto second = run_durable(in.app, in.store, {}, &checkpoint_store,
+                                  /*resume=*/true, /*multi_pair_tiles=*/true);
+  EXPECT_TRUE(second.report.checkpoint.resumed);
+  EXPECT_EQ(second.report.checkpoint.pairs_recovered, first.results.size())
+      << "the journal holds exactly what run 1 delivered";
+  EXPECT_EQ(second.report.pairs, in.expected.size());
+  for (const auto& [pair, count] : second.counts) EXPECT_EQ(count, 1);
+
+  ResultMap combined = first.results;
+  for (const auto& [pair, score] : second.results) {
+    EXPECT_TRUE(combined.emplace(pair, score).second)
+        << "pair (" << pair.first << "," << pair.second
+        << ") delivered by both runs";
+  }
+  EXPECT_EQ(combined, in.expected);
 }
 
 TEST(Checkpoint, MismatchedFingerprintStartsFresh) {

@@ -318,21 +318,75 @@ TEST(LiveCluster, FourNodeForensicsMatchesSingleNodeExactly) {
   EXPECT_EQ(report.peer_loads, report.peer_cache.chain_hits);
 
   // Traffic accounting: one request message per fetch, one result message
-  // per pair, and per-node pair counts sum to the total.
+  // per tile, and per-node pair counts sum to the total.
   const auto& traffic = report.traffic.per_tag;
   EXPECT_EQ(traffic[static_cast<std::size_t>(net::Tag::kCacheRequest)].messages,
             report.peer_cache.requests);
-  EXPECT_EQ(traffic[static_cast<std::size_t>(net::Tag::kResult)].messages,
-            pairs);
-  std::uint64_t node_pairs = 0, node_loads = 0;
+  std::uint64_t node_pairs = 0, node_loads = 0, node_tiles = 0;
   for (const auto& node : report.nodes) {
     node_pairs += node.pairs;
     node_loads += node.loads;
+    node_tiles += node.tiles;
   }
+  EXPECT_EQ(traffic[static_cast<std::size_t>(net::Tag::kResult)].messages,
+            node_tiles);
   EXPECT_EQ(node_pairs, pairs);
   EXPECT_EQ(node_loads, report.loads);
   // Every node pulled its weight.
   for (const auto& node : report.nodes) EXPECT_GT(node.pairs, 0u);
+}
+
+TEST(LiveCluster, MultiPairTilesSendOneResultMessagePerTile) {
+  storage::MemoryStore store;
+  apps::ForensicsConfig fc;
+  fc.cameras = 4;
+  fc.images_per_camera = 8;
+  fc.width = 64;
+  fc.height = 48;
+  fc.seed = 13;
+  apps::ForensicsDataset dataset(fc, store);
+  apps::ForensicsApplication app(dataset);
+  const std::uint64_t pairs = 32ull * 31 / 2;
+
+  const ResultMap expected = single_node_reference(app, store);
+  ASSERT_EQ(expected.size(), pairs);
+
+  LiveClusterConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.node.devices = {gpu::titanx_maxwell()};
+  cfg.node.host_cache_capacity = 64_MiB;
+  cfg.node.cpu_threads = 2;
+  cfg.node.cache_shards = 2;
+  // One tile in flight per device: a tile's working set may grow to a
+  // whole cache shard, so tiles — and their result messages — carry many
+  // pairs each.
+  cfg.node.job_limit_per_worker = 1;
+  LiveCluster cluster(cfg);
+
+  ResultMap actual;
+  std::uint64_t deliveries = 0;
+  const auto report = cluster.run_all_pairs(
+      app, store, [&](const PairResult& r) {
+        actual[{r.left, r.right}] = r.score;
+        ++deliveries;
+      });
+
+  EXPECT_EQ(actual, expected);
+  EXPECT_EQ(deliveries, pairs);
+  EXPECT_EQ(report.pairs, pairs);
+  EXPECT_EQ(report.duplicate_results_dropped, 0u);
+  EXPECT_EQ(report.failover.results_received, pairs)
+      << "the master counts pairs received, not messages";
+
+  std::uint64_t tiles = 0;
+  for (const auto& node : report.nodes) tiles += node.tiles;
+  const auto& result_tag =
+      report.traffic.per_tag[static_cast<std::size_t>(net::Tag::kResult)];
+  EXPECT_EQ(result_tag.messages, tiles) << "one result message per tile";
+  EXPECT_LT(result_tag.messages, pairs) << "tiles must hold several pairs";
+  // Each message is charged its envelope plus sizeof(PairResult) per pair.
+  EXPECT_EQ(result_tag.bytes, tiles * cfg.control_message_size +
+                                  pairs * sizeof(PairResult));
 }
 
 TEST(LiveCluster, FailedPeerChainsFallBackToStoreInBothModes) {
@@ -482,7 +536,7 @@ TEST(LiveCluster, SingleNodeDegenerates) {
   EXPECT_EQ(report.remote_steals, 0u);
   EXPECT_EQ(report.traffic.per_tag[static_cast<std::size_t>(
                 net::Tag::kResult)].messages,
-            report.pairs);
+            report.nodes[0].tiles);
 }
 
 TEST(LiveCluster, EmptyAndTrivialProblems) {

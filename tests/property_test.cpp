@@ -115,6 +115,16 @@ struct SchedParam {
   std::uint64_t leaf;
 };
 
+// gtest's fallback printer dumps the raw bytes, which include the vector's
+// heap pointer; the printed value names each ctest case, so print fields.
+void PrintTo(const SchedParam& p, std::ostream* os) {
+  *os << "workers=";
+  for (std::size_t i = 0; i < p.workers_per_node.size(); ++i) {
+    *os << (i ? "," : "") << p.workers_per_node[i];
+  }
+  *os << " n=" << p.n << " leaf=" << p.leaf;
+}
+
 class SchedulerConservation : public ::testing::TestWithParam<SchedParam> {};
 
 TEST_P(SchedulerConservation, EveryPairGrantedExactlyOnce) {

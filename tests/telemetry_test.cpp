@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <variant>
@@ -679,6 +680,65 @@ TEST(LiveCluster, KilledNodeLeavesNoUnclosedSampledSpans) {
   }
   EXPECT_NEAR(total_percent, 100.0, 1.0);
   EXPECT_GT(report.critical_path.spans_analyzed, 0u);
+}
+
+// A sampled tile's result message carries the tile's own result.deliver
+// context, so the master's arrival span — and Perfetto's worker→master
+// arrow — hangs off that tile's span DAG.
+TEST(LiveCluster, ResultDeliveryArrowsHangOffTheTileDag) {
+  storage::MemoryStore store;
+  apps::ForensicsConfig fc;
+  fc.cameras = 2;
+  fc.images_per_camera = 6;
+  fc.width = 64;
+  fc.height = 48;
+  fc.seed = 7;
+  apps::ForensicsDataset dataset(fc, store);
+  apps::ForensicsApplication app(dataset);
+
+  mesh::LiveClusterConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.node.host_cache_capacity = 8_MiB;
+  cfg.node.cpu_threads = 2;
+  cfg.node.trace = true;
+  cfg.trace_sample_n = 1;  // every tile sampled
+  // A slow master cannot steal node 1's whole share on a loaded machine,
+  // so node 1 always executes tiles whose results cross the mesh.
+  cfg.slow_node = 0;
+  cfg.slow_factor = 10.0;
+  mesh::LiveCluster cluster(cfg);
+  const auto report =
+      cluster.run_all_pairs(app, store, [](const runtime::PairResult&) {});
+
+  std::map<std::uint64_t, SpanRecord> by_id;
+  for (const auto& node : report.nodes) {
+    for (const auto& span : node.trace.causal_spans) {
+      by_id[span.ctx.span_id] = span;
+    }
+  }
+  std::size_t arrows = 0;
+  for (const auto& [id, span] : by_id) {
+    if (span.phase != SpanPhase::kDeliver) continue;
+    ASSERT_NE(span.ctx.parent_id, 0u)
+        << "no deliver span is a root of its own trace";
+    const auto parent = by_id.find(span.ctx.parent_id);
+    ASSERT_NE(parent, by_id.end());
+    if (parent->second.node == span.node) continue;
+    // Cross-node edge: the master's arrival child of a worker tile's
+    // result.deliver span, whose parent is that tile's root.
+    EXPECT_EQ(span.node, 0u);
+    EXPECT_EQ(parent->second.phase, SpanPhase::kDeliver);
+    const auto tile = by_id.find(parent->second.ctx.parent_id);
+    ASSERT_NE(tile, by_id.end());
+    EXPECT_EQ(tile->second.phase, SpanPhase::kTile);
+    EXPECT_EQ(tile->second.node, parent->second.node);
+    EXPECT_EQ(tile->second.ctx.trace_id, span.ctx.trace_id);
+    ++arrows;
+  }
+  // Every tile is sampled and sends one message: one arrow per tile
+  // node 1 executed.
+  EXPECT_GT(report.nodes[1].tiles, 0u);
+  EXPECT_EQ(arrows, report.nodes[1].tiles);
 }
 
 // --- log level parsing ----------------------------------------------------
