@@ -3,13 +3,13 @@
 // the DES event loop. These guard the constants that make full-scale
 // figure regeneration tractable (tens of millions of virtual events).
 //
-// After the registered benchmarks, main() runs a head-to-head of the live
-// runtime's per-pair vs tile-batched execution modes, MpmcQueue single-op
-// vs bulk-op throughput, the mesh peer-fetch path vs the storage load it
-// replaces, the look-ahead prefetch pipeline vs today's schedule on a
-// load-bound workload, and the leaf-traversal orders' load counts, and
-// writes the numbers to BENCH_micro.json (machine-readable, for the perf
-// trajectory; CI gates prefetch >= off and hilbert < row-major).
+// After the registered benchmarks, main() measures the live runtime's
+// tile-batched throughput on a cache-friendly workload, MpmcQueue
+// single-op vs bulk-op throughput, the mesh peer-fetch path vs the storage
+// load it replaces, the look-ahead prefetch pipeline vs today's schedule
+// on a load-bound workload, and the leaf-traversal orders' load counts,
+// and writes the numbers to BENCH_micro.json (machine-readable, for the
+// perf trajectory; CI gates prefetch >= off and hilbert < row-major).
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +17,6 @@
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <future>
 #include <map>
@@ -194,12 +193,12 @@ void BM_LognormalSample(benchmark::State& state) {
 }
 BENCHMARK(BM_LognormalSample);
 
-// --- runtime execution-mode head-to-head + JSON emission -----------------
+// --- runtime throughput + JSON emission ----------------------------------
 
 /// Cache-friendly synthetic all-pairs workload: n items that all fit in
 /// the device cache, trivial parse and a cheap compare, so the engine's
 /// per-pair overheads (queue hops, cache mutex traffic, allocations,
-/// result locking) dominate — exactly what tile batching amortises.
+/// result locking) dominate — what tile batching amortises.
 class SyntheticApp final : public runtime::Application {
  public:
   /// `compare_passes` scales the kernel cost: the prefetch head-to-head
@@ -256,12 +255,11 @@ struct ModeResult {
 };
 
 ModeResult run_mode(const runtime::Application& app,
-                    storage::MemoryStore& store, bool tile_batching) {
+                    storage::MemoryStore& store) {
   runtime::NodeRuntime::Config cfg;
   cfg.devices = {gpu::titanx_maxwell()};
   cfg.host_cache_capacity = 64_MiB;
   cfg.cpu_threads = 2;
-  cfg.tile_batching = tile_batching;
   runtime::NodeRuntime rt(cfg);
   ModeResult mode;
   std::mutex mutex;
@@ -720,29 +718,13 @@ TraversalResult measure_traversal_loads() {
   return out;
 }
 
-/// Run the execution-mode comparison and write BENCH_micro.json.
-void run_mode_comparison_and_emit_json() {
+/// Run the runtime measurements and write BENCH_micro.json.
+void run_measurements_and_emit_json() {
   constexpr std::uint32_t kItems = 512;
   storage::MemoryStore store;
   SyntheticApp app(kItems, store);
 
-  const ModeResult per_pair = run_mode(app, store, /*tile_batching=*/false);
-  const ModeResult tiled = run_mode(app, store, /*tile_batching=*/true);
-
-  bool results_match = per_pair.results.size() == tiled.results.size();
-  if (results_match) {
-    for (const auto& [pair, score] : per_pair.results) {
-      const auto it = tiled.results.find(pair);
-      if (it == tiled.results.end() ||
-          std::abs(it->second - score) > 1e-9) {
-        results_match = false;
-        break;
-      }
-    }
-  }
-  const double speedup = per_pair.pairs_per_sec > 0
-                             ? tiled.pairs_per_sec / per_pair.pairs_per_sec
-                             : 0.0;
+  const ModeResult tiled = run_mode(app, store);
   const QueueThroughput queue = measure_queue_throughput();
   const PeerFetchResult peer = measure_peer_fetch_vs_storage();
   const std::vector<ContentionResult> contention = {
@@ -752,15 +734,11 @@ void run_mode_comparison_and_emit_json() {
   const OverheadResult telemetry = measure_telemetry_overhead();
   const OverheadResult tracing = measure_tracing_overhead();
 
-  std::printf("\n-- execution mode head-to-head (n=%u, %zu pairs) --\n",
-              kItems, per_pair.results.size());
-  std::printf("per-pair:     %12.0f pairs/s  (loads=%" PRIu64 ")\n",
-              per_pair.pairs_per_sec, per_pair.loads);
+  std::printf("\n-- runtime throughput (n=%u, %zu pairs) --\n", kItems,
+              tiled.results.size());
   std::printf("tile-batched: %12.0f pairs/s  (loads=%" PRIu64
               ", tiles=%" PRIu64 ")\n",
               tiled.pairs_per_sec, tiled.loads, tiled.tiles);
-  std::printf("speedup: %.2fx  results_match: %s\n", speedup,
-              results_match ? "yes" : "NO");
   std::printf("queue: single %.0f ops/s, bulk(64) %.0f ops/s (%.2fx)\n",
               queue.single_ops_per_sec, queue.bulk_ops_per_sec,
               queue.bulk_ops_per_sec / queue.single_ops_per_sec);
@@ -806,22 +784,13 @@ void run_mode_comparison_and_emit_json() {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"workload\": {\"items\": %u, \"pairs\": %zu},\n", kItems,
-               per_pair.results.size());
-  std::fprintf(f,
-               "  \"per_pair\": {\"pairs_per_sec\": %.1f, "
-               "\"wall_seconds\": %.6f, \"loads\": %" PRIu64 "},\n",
-               per_pair.pairs_per_sec, per_pair.wall_seconds, per_pair.loads);
+               tiled.results.size());
   std::fprintf(f,
                "  \"tile_batched\": {\"pairs_per_sec\": %.1f, "
                "\"wall_seconds\": %.6f, \"loads\": %" PRIu64
                ", \"tiles\": %" PRIu64 "},\n",
                tiled.pairs_per_sec, tiled.wall_seconds, tiled.loads,
                tiled.tiles);
-  std::fprintf(f, "  \"speedup\": %.3f,\n", speedup);
-  std::fprintf(f, "  \"results_match\": %s,\n",
-               results_match ? "true" : "false");
-  std::fprintf(f, "  \"loads_match\": %s,\n",
-               per_pair.loads == tiled.loads ? "true" : "false");
   std::fprintf(f,
                "  \"queue\": {\"single_ops_per_sec\": %.1f, "
                "\"bulk_ops_per_sec\": %.1f, \"bulk_batch\": 64},\n",
@@ -889,6 +858,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  run_mode_comparison_and_emit_json();
+  run_measurements_and_emit_json();
   return 0;
 }

@@ -51,7 +51,7 @@ constexpr std::uint32_t word_excess(std::uint64_t w) {
 
 ShardedSlotCache::ShardedSlotCache(Config config)
     : config_(std::move(config)) {
-  // Every shard needs at least two slots (a per-pair job may land both of
+  // Every shard needs at least two slots (a two-item tile may land both of
   // its pins in one shard); shards beyond that would own empty caches.
   const std::uint32_t max_shards =
       std::max(1u, config_.num_slots / 2);

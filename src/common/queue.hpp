@@ -175,10 +175,9 @@ class Semaphore {
 /// (std::latch exists in C++20 but lacks try_wait-with-timeout on all
 /// toolchains we target; this also tracks the count for assertions.)
 ///
-/// The count is atomic so the per-task count_down — executed once per pair
-/// in per-pair mode and once per *tile* in tile-batched mode — is a single
-/// fetch_sub; the mutex is only taken by the final decrement to publish the
-/// wakeup, and by waiters.
+/// The count is atomic so the per-task count_down — executed once per
+/// tile — is a single fetch_sub; the mutex is only taken by the final
+/// decrement to publish the wakeup, and by waiters.
 ///
 /// Also usable as an in-flight gauge: construct with 0, count_up() on
 /// submission, count_down() on completion, and wait() only once all

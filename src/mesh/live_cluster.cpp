@@ -24,6 +24,14 @@ double trace_now() {
       .count();
 }
 
+/// Regions per node in the static partition; stealing fixes the rest. The
+/// journal manifest and fingerprint record it, so a journal written with
+/// another value does not resume.
+constexpr std::uint32_t kPartitionGranularity = 4;
+
+/// Capacity of each node's flight-recorder ring (tracing runs only).
+constexpr std::size_t kFlightRecorderEntries = 1024;
+
 }  // namespace
 
 telemetry::ClusterSnapshot LiveCluster::cluster_snapshot() const {
@@ -50,11 +58,11 @@ LiveCluster::Report LiveCluster::run_all_pairs(
     checkpoint::Manifest manifest;
     manifest.items = n;
     manifest.num_nodes = p;
-    manifest.granularity = config_.partition_granularity;
+    manifest.granularity = kPartitionGranularity;
     manifest.seed = config_.node.seed;
     manifest.expected_pairs = total_pairs;
     manifest.fingerprint = checkpoint::Journal::fingerprint(
-        n, p, config_.partition_granularity, config_.node.seed);
+        n, p, kPartitionGranularity, config_.node.seed);
     journal = std::make_unique<checkpoint::Journal>(
         *config_.checkpoint_store, config_.checkpoint_name);
     bool fresh = true;
@@ -102,8 +110,7 @@ LiveCluster::Report LiveCluster::run_all_pairs(
   const std::uint64_t remaining_pairs = total_pairs - recovered.size();
   const auto done = std::make_shared<std::atomic<bool>>(remaining_pairs == 0);
 
-  auto partition =
-      dnc::partition_root(n, p, config_.partition_granularity);
+  auto partition = dnc::partition_root(n, p, kPartitionGranularity);
   if (!recovered.empty()) {
     // Resume frontier: grant the full partition to its owners in a
     // scratch ledger, mark the recovered pairs delivered, and re-read
@@ -125,8 +132,7 @@ LiveCluster::Report LiveCluster::run_all_pairs(
 
   // Master failover needs a failure detector to hand the role over, so
   // it rides on the heartbeat/lease machinery.
-  const bool failover = config_.master_failover && p > 1 &&
-                        config_.heartbeat_interval_s > 0 &&
+  const bool failover = p > 1 && config_.heartbeat_interval_s > 0 &&
                         config_.lease_timeout_s > 0;
   std::atomic<std::uint64_t> delivered_this_run{0};
 
@@ -155,10 +161,8 @@ LiveCluster::Report LiveCluster::run_all_pairs(
   std::vector<std::unique_ptr<telemetry::SpanLog>> span_logs(p);
   if (tracing) {
     for (NodeId id = 0; id < p; ++id) {
-      if (config_.flight_recorder_entries > 0) {
-        flights[id] = std::make_unique<telemetry::FlightRecorder>(
-            config_.flight_recorder_entries);
-      }
+      flights[id] =
+          std::make_unique<telemetry::FlightRecorder>(kFlightRecorderEntries);
       span_logs[id] =
           std::make_unique<telemetry::SpanLog>(id, std::size_t{1} << 14,
                                                flights[id].get());

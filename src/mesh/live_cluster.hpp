@@ -41,15 +41,12 @@ struct LiveClusterConfig {
   std::uint32_t num_nodes = 2;
 
   /// Per-node runtime configuration, replicated across nodes (devices,
-  /// caches, execution mode, ...).
+  /// caches, prefetch window, ...).
   runtime::NodeRuntime::Config node{};
 
   /// Third-level (distributed) cache on/off and its hop limit h (§4.1.3).
   bool distributed_cache = true;
   std::uint32_t hop_limit = 1;  // paper: h=1 after the Fig 11 study
-
-  /// Regions per node in the static partition; stealing fixes the rest.
-  std::uint32_t partition_granularity = 4;
 
   /// Wire size charged per control message (traffic-report comparability
   /// with the simulated fabric).
@@ -70,6 +67,12 @@ struct LiveClusterConfig {
   /// default so a healthy-but-busy node is never declared dead in normal
   /// runs (a false positive is safe — dedup — but wastes re-execution);
   /// chaos tests shrink it aggressively.
+  ///
+  /// Master failover (DESIGN.md §14.2) is on whenever the detector is,
+  /// i.e. on a multi-node mesh with both this and heartbeat_interval_s
+  /// above 0. The master then mirrors its aggregation state to a
+  /// standby, and the lowest live node adopts the role when the master's
+  /// lease expires.
   double lease_timeout_s = 5.0;
 
   /// Peer-fetch deadline: a pending fetch older than this is
@@ -85,10 +88,10 @@ struct LiveClusterConfig {
   std::uint32_t max_chain_hops = 0;
 
   /// Scripted, replayable node kills (chaos tests, the demo's
-  /// --kill-node / --kill-master). Killing node 0 is survivable when
-  /// `master_failover` is on (the lowest live node adopts the role,
-  /// DESIGN.md §14); without failover a master kill ends the run early
-  /// via the termination watchdog.
+  /// --kill-node / --kill-master). Killing node 0 is survivable with
+  /// master failover (see lease_timeout_s; the lowest live node adopts
+  /// the role, DESIGN.md §14); without it a master kill ends the run
+  /// early via the termination watchdog.
   FaultSchedule faults;
 
   // --- telemetry (DESIGN.md §13) ---
@@ -109,15 +112,12 @@ struct LiveClusterConfig {
   /// its identity — gets a full causal trace: a span DAG spanning nodes,
   /// recorded into the per-node span logs, rendered with cross-node flow
   /// arrows by the TraceExporter, and fed to the critical-path analyzer.
-  /// 0 disables causal tracing entirely; 1 traces everything.
+  /// Tracing also arms each node's black-box flight recorder (the last
+  /// 1024 span closes + received messages), dumped to `checkpoint_store`
+  /// as `rocket.flightrec.node<i>` on node death, master failover or
+  /// assertion failure. 0 disables causal tracing entirely; 1 traces
+  /// everything.
   std::uint32_t trace_sample_n = 0;
-
-  /// Capacity of each node's black-box flight-recorder ring (last K span
-  /// closes + received messages), dumped to `checkpoint_store` as
-  /// `rocket.flightrec.node<i>` on node death, master failover, assertion
-  /// failure, or end of a chaos run. 0 disables the flight recorder.
-  /// Active only while causal tracing is on.
-  std::size_t flight_recorder_entries = 1024;
 
   // --- durability (DESIGN.md §14) ---
 
@@ -134,16 +134,12 @@ struct LiveClusterConfig {
   /// ignored (fresh start). Requires checkpoint_store.
   bool resume = false;
 
-  /// Master result-batch size for the mirror→journal→deliver flush unit,
-  /// in pairs — independent of how many pairs one result message carries
-  /// (only active when failover or a journal is enabled).
+  /// The master's flush unit, in pairs: accepted results are mirrored
+  /// (with failover), journalled (with a checkpoint store) and delivered
+  /// this many at a time, independent of how many pairs one result
+  /// message carries. Every master flushes this way; the final pair
+  /// always flushes.
   std::uint32_t journal_batch_pairs = 64;
-
-  /// Master failover: mirror aggregation state to a standby and let the
-  /// lowest live node adopt the master role when the master's lease
-  /// expires. Effective only with heartbeats + lease timeout enabled on
-  /// a multi-node mesh.
-  bool master_failover = true;
 
   /// Chaos: probability that a sent frame is first delivered corrupted
   /// (then retransmitted clean). Exercises the transport CRC path.

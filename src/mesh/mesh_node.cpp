@@ -778,7 +778,6 @@ void MeshNode::on_result_msg(const ResultMsg& msg) {
     record_child_span(msg.span, 0x6d737472 /* 'mstr' */,
                       telemetry::SpanPhase::kDeliver, now, now);
   }
-  const bool durable = cfg_.failover || cfg_.journal != nullptr;
   // The batch is one tile's results; dedup, delivery and flushing stay
   // per pair. The death check the serve loop makes between messages is
   // repeated between pairs, so a kill stops the walk mid-batch exactly
@@ -793,18 +792,6 @@ void MeshNode::on_result_msg(const ResultMsg& msg) {
       // Duplicate: a re-executed pair whose original owner also
       // delivered, or a late result from a node declared dead. Dropped,
       // never double-counted — the exactly-once invariant (DESIGN.md §12).
-      continue;
-    }
-    if (!durable) {
-      // Pre-durability fast path: deliver immediately, bit-identical to
-      // the behaviour before flush batching existed.
-      if (cfg_.on_result) cfg_.on_result(result);
-      ++results_seen_;
-      if (results_seen_ == cfg_.expected_pairs && !completed_ &&
-          cfg_.on_complete) {
-        completed_ = true;
-        cfg_.on_complete();
-      }
       continue;
     }
     batch_.push_back(result);

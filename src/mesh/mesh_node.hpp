@@ -239,11 +239,12 @@ class MeshNode final : public runtime::PeerFetchClient {
     std::vector<dnc::Pair> recovered;
 
     /// Master: accepted results buffer until this many are pending (or
-    /// the run completes), then flush as one unit: standby mirror →
-    /// journal append → user delivery. Counted in pairs, so a flush can
-    /// fall mid-way through one result message. Only batched when
-    /// failover or a journal is active — otherwise results deliver
-    /// immediately, as before the durability layer existed.
+    /// the run completes), then flush as one unit: standby mirror (with
+    /// failover) → journal append (with a journal) → user delivery.
+    /// Counted in pairs, so a flush can fall mid-way through one result
+    /// message. With heartbeats on and failover or a journal, the master
+    /// tick also flushes a partial batch at least once per heartbeat
+    /// interval.
     std::uint32_t result_batch_pairs = 64;
   };
 

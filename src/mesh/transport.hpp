@@ -94,9 +94,9 @@ struct StealReply {
   telemetry::SpanContext span;  // victim's serve span (flow arrow source)
 };
 
-/// Worker node → master: one tile's completed pairs (a single pair on the
-/// per-pair execution path). The master dedups and delivers per pair, so
-/// a batch may be partly duplicate (DESIGN.md §12.4).
+/// Worker node → master: one tile's completed pairs. The master dedups
+/// and delivers per pair, so a batch may be partly duplicate (DESIGN.md
+/// §12.4).
 struct ResultMsg {
   std::vector<runtime::PairResult> results;
   telemetry::SpanContext span;  // sampled tile's result.deliver span

@@ -85,13 +85,12 @@ void drain(MpmcQueue<Task>& queue) {
 }
 
 struct Engine;
+struct TileJob;
 
 /// Per-device state: virtual GPU, device-level cache + buffers, and the
 /// three dedicated threads' queues (kernel, H2D, D2H). The cache is a
 /// sharded concurrent cache — it owns its own (per-shard) locking, so the
 /// runtime calls it directly from any thread.
-struct TileJob;
-
 struct DeviceState {
   gpu::VirtualDevice vdev;
   std::unique_ptr<cache::ShardedSlotCache> cache;
@@ -125,7 +124,6 @@ struct DeviceState {
 };
 
 struct LoadOp;
-struct LoadClient;
 
 struct Engine {
   const NodeRuntime::Config& cfg;
@@ -155,11 +153,11 @@ struct Engine {
   std::vector<std::size_t> cpu_lanes;
 
   std::vector<std::unique_ptr<Semaphore>> job_limits;  // per worker/device
-  /// In-flight pair gauge: count_up at leaf submission, count_down at pair
-  /// completion; waited on only after the executor returns (all
-  /// submissions in). This form works for both the single-node run (total
-  /// known) and a mesh partition run (stolen-in work makes the total
-  /// unknowable up front).
+  /// In-flight pair gauge: a leaf counts its pairs up at submission and
+  /// each of its tiles counts its own pairs down when it finishes; waited
+  /// on only after the executor returns (all submissions in). This form
+  /// works for both the single-node run (total known) and a mesh
+  /// partition run (stolen-in work makes the total unknowable up front).
   std::unique_ptr<CountdownLatch> done;
   std::atomic<std::uint64_t> loads{0};
   std::atomic<std::uint64_t> peer_loads{0};
@@ -233,19 +231,8 @@ struct Engine {
   }
 
   LoadOp* make_load(DeviceState& dev, ItemId item, cache::SlotId dslot,
-                    LoadClient* client,
-                    AllocPriority prio = AllocPriority::kDemand);
+                    TileJob* tile, AllocPriority prio);
   void recycle_load(LoadOp* op);
-};
-
-/// Consumer of the shared load pipeline: notified exactly once per started
-/// load, on an arbitrary runtime thread.
-struct LoadClient {
-  virtual void item_ready(ItemId item, cache::SlotId dslot) = 0;
-  virtual void item_failed(ItemId item) = 0;
-
- protected:
-  ~LoadClient() = default;
 };
 
 /// State of one load-pipeline execution (Fig 2 / Fig 4): store → parse →
@@ -254,7 +241,9 @@ struct LoadClient {
 struct LoadOp {
   Engine* eng = nullptr;
   DeviceState* dev = nullptr;
-  LoadClient* client = nullptr;
+  /// The tile that needs the item: notified exactly once per started
+  /// load, on an arbitrary runtime thread.
+  TileJob* tile = nullptr;
   std::atomic<LoadOp*> free_next{nullptr};  // freelist linkage while pooled
   ItemId item = 0;
   cache::SlotId dslot = cache::kInvalidSlot;  // device WRITE slot (ours)
@@ -272,12 +261,12 @@ Engine::~Engine() {
 }
 
 LoadOp* Engine::make_load(DeviceState& dev, ItemId item, cache::SlotId dslot,
-                          LoadClient* client, AllocPriority prio) {
+                          TileJob* tile, AllocPriority prio) {
   LoadOp* op = load_pool.try_pop();
   if (op == nullptr) op = new LoadOp();
   op->eng = this;
   op->dev = &dev;
-  op->client = client;
+  op->tile = tile;
   op->item = item;
   op->dslot = dslot;
   op->hslot = cache::kInvalidSlot;
@@ -290,7 +279,7 @@ LoadOp* Engine::make_load(DeviceState& dev, ItemId item, cache::SlotId dslot,
 }
 
 void Engine::recycle_load(LoadOp* op) {
-  op->client = nullptr;
+  op->tile = nullptr;
   loads_inflight->sub(1);
   load_pool.push(op);
 }
@@ -333,6 +322,9 @@ telemetry::NodeStats Engine::live_stats() const {
 
 void begin_fill(LoadOp* op);
 void run_load(LoadOp* op);
+// Defined after TileJob, which they notify.
+void finish_load(LoadOp* op);
+void fail_load(LoadOp* op, const char* what);
 
 /// Cache slots are fixed-size (§4.1.1): allocate the full slot so an
 /// item may legally grow in place (bioinformatics replaces the residue
@@ -366,30 +358,6 @@ void stretch_kernel(Engine& eng, DeviceState& dev,
     std::this_thread::sleep_for(step);
     remaining -= step;
   }
-}
-
-/// Load complete: the client owns the published device slot's read pin.
-void finish_load(LoadOp* op) {
-  LoadClient* client = op->client;
-  const ItemId item = op->item;
-  const cache::SlotId dslot = op->dslot;
-  op->eng->recycle_load(op);
-  client->item_ready(item, dslot);
-}
-
-/// A load stage failed while we held WRITE locks: abort them (waiters get
-/// kFailed and re-drive their own loads) and notify the client.
-void fail_load(LoadOp* op, const char* what) {
-  ROCKET_ERROR("load of item %u failed: %s", op->item, what);
-  op->eng->failed_loads.fetch_add(1, std::memory_order_relaxed);
-  op->dev->cache->abort(op->dslot);
-  if (op->hslot != cache::kInvalidSlot && op->eng->host_cache) {
-    op->eng->host_cache->abort(op->hslot);
-  }
-  LoadClient* client = op->client;
-  const ItemId item = op->item;
-  op->eng->recycle_load(op);
-  client->item_failed(item);
 }
 
 /// Host hit: copy host slot → device slot, publish device, drop host pin.
@@ -621,136 +589,7 @@ void run_load(LoadOp* op) {
   });
 }
 
-// --- per-pair path (Config::tile_batching == false) ----------------------
-
-/// One in-flight comparison job: pin both items on the device (driving the
-/// shared load pipeline on miss), compare on the GPU thread, post-process
-/// on the CPU pool, release. Single-owner state machine: exactly one
-/// continuation is in flight at any time, and the final one deletes it.
-struct Job final : LoadClient {
-  Engine& eng;
-  DeviceState& dev;
-  std::uint32_t worker;
-  ItemId items[2];
-  cache::SlotId pins[2] = {cache::kInvalidSlot, cache::kInvalidSlot};
-  int next_pin = 0;
-  std::uint32_t retries = 0;  // kFailed grant re-drives
-
-  Job(Engine& engine, DeviceState& device, std::uint32_t worker_id,
-      dnc::Pair pair)
-      : eng(engine), dev(device), worker(worker_id),
-        items{pair.left, pair.right} {}
-
-  void start() { pin_next(); }
-
-  void pin_next() {
-    if (next_pin == 2) {
-      compare();
-      return;
-    }
-    // Queued grants fire under the owning shard's mutex: defer.
-    const auto t_acquire = Profiler::Clock::now();
-    const Grant grant =
-        dev.cache->acquire(items[next_pin], [this, t_acquire](Grant g) {
-          eng.cache_wait->record_seconds(
-              std::chrono::duration<double>(Profiler::Clock::now() -
-                                            t_acquire)
-                  .count());
-          eng.post_control([this, g] { handle_grant(g); });
-        });
-    if (grant.outcome != Outcome::kQueued) handle_grant(grant);
-  }
-
-  void handle_grant(Grant grant) {
-    switch (grant.outcome) {
-      case Outcome::kHit:
-        pins[next_pin++] = grant.slot;
-        pin_next();
-        return;
-      case Outcome::kFill:
-        begin_fill(eng.make_load(dev, items[next_pin], grant.slot, this));
-        return;
-      case Outcome::kFailed:
-        eng.acquire_retries.fetch_add(1, std::memory_order_relaxed);
-        if (++retries > eng.cfg.max_acquire_retries) {
-          // Terminal path: fail the pair loudly (NaN) instead of
-          // re-driving against a persistently aborting writer forever.
-          ROCKET_ERROR("acquire for item %u failed %u times; failing pair "
-                       "(%u,%u)",
-                       items[next_pin], retries, items[0], items[1]);
-          fail_pair();
-          return;
-        }
-        retry_backoff(retries);
-        pin_next();  // writer aborted; retry the acquisition
-        return;
-      case Outcome::kQueued:
-        ROCKET_CHECK(false, "queued grant delivered as queued");
-    }
-  }
-
-  /// The item is now readable in `slot`; the writer's read pin is ours.
-  void item_ready(ItemId, cache::SlotId slot) override {
-    pins[next_pin++] = slot;
-    pin_next();
-  }
-
-  void item_failed(ItemId) override { fail_pair(); }
-
-  void compare() {
-    dev.gpu_q.push([this] {
-      double score = 0.0;
-      try {
-        ScopedTask span(eng.profiler, dev.gpu_lane, TaskKind::kCompare);
-        const auto t0 = Profiler::Clock::now();
-        score = eng.app.compare(items[0], dev.slots[pins[0]], items[1],
-                                dev.slots[pins[1]]);
-        stretch_kernel(eng, dev, t0);
-      } catch (const std::exception& e) {
-        ROCKET_ERROR("comparison (%u,%u) failed: %s", items[0], items[1],
-                     e.what());
-        fail_pair();
-        return;
-      }
-      eng.cpu_q.push(CpuTask{TaskKind::kPostprocess, [this, score] {
-        const double final_score =
-            eng.app.postprocess(items[0], items[1], score);
-        eng.result_depth->add(1);
-        eng.result_q.push(
-            ResultBatch{{PairResult{items[0], items[1], final_score}}, {}});
-        dev.cache->release(pins[0]);
-        dev.cache->release(pins[1]);
-        dev.pairs.fetch_add(1, std::memory_order_relaxed);
-        eng.job_limits[worker]->release();
-        eng.done->count_down();
-        delete this;
-      }});
-    });
-  }
-
-  /// Complete this pair with a NaN score after an unrecoverable error so
-  /// the run always terminates (paper leaves fault tolerance to future
-  /// work; we guarantee no hangs and surface the failure in the result).
-  void fail_pair() {
-    for (int k = 0; k < next_pin; ++k) {
-      if (pins[k] != cache::kInvalidSlot) dev.cache->release(pins[k]);
-    }
-    eng.result_depth->add(1);
-    eng.result_q.push(ResultBatch{
-        {PairResult{items[0], items[1],
-                    std::numeric_limits<double>::quiet_NaN()}},
-        {}});
-    // Failed pairs still count as processed by this device (the tile path
-    // counts every emitted result), so per-device accounting always sums
-    // to Report.pairs in both modes.
-    dev.pairs.fetch_add(1, std::memory_order_relaxed);
-    eng.job_limits[worker]->release();
-    eng.done->count_down();
-    delete this;
-  }
-};
-
-// --- tile-batched path (Config::tile_batching == true) -------------------
+// --- tile jobs ----------------------------------------------------------
 
 /// One leaf region executed as a single job: the tile's whole working set
 /// is pinned through one batched cache acquire (one mutex acquisition, the
@@ -760,7 +599,7 @@ struct Job final : LoadClient {
 /// is the paper's locality argument carried through to the execution
 /// layer: a leaf's small working set is pinned once and reused across all
 /// of its pairs.
-struct TileJob final : LoadClient {
+struct TileJob {
   Engine& eng;
   DeviceState& dev;
   std::uint32_t worker;
@@ -888,12 +727,12 @@ struct TileJob final : LoadClient {
     if (grant.outcome != Outcome::kQueued) handle_grant(k, grant);
   }
 
-  void item_ready(ItemId item, cache::SlotId slot) override {
+  void item_ready(ItemId item, cache::SlotId slot) {
     slots[index_of(item)] = slot;
     item_done();
   }
 
-  void item_failed(ItemId item) override {
+  void item_failed(ItemId item) {
     load_failed[index_of(item)] = 1;
     item_done();
   }
@@ -1008,10 +847,9 @@ struct TileJob final : LoadClient {
   /// (per-shard) pass.
   void finish() {
     const double t_deliver = trace_ctx.sampled() ? trace_now() : 0.0;
-    // Failed pairs keep their NaN sentinel (matching Job::fail_pair);
-    // every successful compare goes through postprocess, even if the
-    // application's compare legitimately returned NaN — result streams
-    // must be identical across execution modes.
+    // Failed pairs keep their NaN sentinel; every successful compare goes
+    // through postprocess, even if the application's compare legitimately
+    // returned NaN.
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (!pair_failed[i]) {
         auto& r = results[i];
@@ -1053,13 +891,36 @@ struct TileJob final : LoadClient {
   }
 };
 
+/// Load complete: the tile owns the published device slot's read pin.
+void finish_load(LoadOp* op) {
+  TileJob* tile = op->tile;
+  const ItemId item = op->item;
+  const cache::SlotId dslot = op->dslot;
+  op->eng->recycle_load(op);
+  tile->item_ready(item, dslot);
+}
+
+/// A load stage failed while we held WRITE locks: abort them (waiters get
+/// kFailed and re-drive their own loads) and notify the tile.
+void fail_load(LoadOp* op, const char* what) {
+  ROCKET_ERROR("load of item %u failed: %s", op->item, what);
+  op->eng->failed_loads.fetch_add(1, std::memory_order_relaxed);
+  op->dev->cache->abort(op->dslot);
+  if (op->hslot != cache::kInvalidSlot && op->eng->host_cache) {
+    op->eng->host_cache->abort(op->hslot);
+  }
+  TileJob* tile = op->tile;
+  const ItemId item = op->item;
+  op->eng->recycle_load(op);
+  tile->item_failed(item);
+}
+
 /// Submit one leaf region as tile jobs, splitting further while the
 /// working set exceeds the device's per-tile budget. Back-pressure (tiles
 /// in flight, compute budget + prefetch window) is applied here, on the
-/// steal worker's thread, exactly as the per-pair path throttles pair
-/// submission (§4.2) — an enlarged admission budget is what lets the
-/// worker run ahead and start tiles T+1..T+W loading while tile T
-/// computes.
+/// steal worker's thread (§4.2) — an enlarged admission budget is what
+/// lets the worker run ahead and start tiles T+1..T+W loading while tile
+/// T computes.
 void submit_tile(Engine& eng, const dnc::Region& region,
                  std::uint32_t worker) {
   DeviceState& dev = *eng.devices[worker];
@@ -1148,12 +1009,6 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
     eng.host_slots.resize(host_slots);
   }
 
-  // Look-ahead window (tile-batched mode only; the per-pair path has no
-  // tile pipeline to feed). Clamped per device below so compute + prefetch
-  // pin demand stays within every shard's slot supply.
-  const std::uint32_t prefetch_cfg =
-      config_.tile_batching ? config_.prefetch_tiles : 0;
-
   // Devices: speed-normalise so the fastest runs unstretched.
   double max_speed = 0.0;
   for (const auto& spec : config_.devices) {
@@ -1178,7 +1033,7 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
     // of the whole cache.
     const auto limit0 = std::min(config_.job_limit_per_worker,
                                  std::max<std::uint32_t>(1, slots / 2));
-    const std::uint32_t combined0 = limit0 + prefetch_cfg;
+    const std::uint32_t combined0 = limit0 + config_.prefetch_tiles;
     const std::uint32_t dev_shards = std::min(
         shards_requested, std::max(1u, slots / std::max(2u, 2 * combined0)));
     dev->cache = std::make_unique<cache::ShardedSlotCache>(
@@ -1205,19 +1060,18 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
     // The look-ahead window rides on whatever slot headroom remains past
     // the compute budget; a slot-starved device degrades to window 0
     // (prefetch off) rather than shrinking compute's share.
-    const std::uint32_t window = std::min(
-        prefetch_cfg, min_shard / 2 > limit ? min_shard / 2 - limit : 0);
+    const std::uint32_t window =
+        std::min(config_.prefetch_tiles,
+                 min_shard / 2 > limit ? min_shard / 2 - limit : 0);
     dev->compute_limit = limit;
     dev->compute_tokens = limit;
-    if (config_.tile_batching) {
-      // `limit + window` tiles in flight, each pinning at most
-      // min_shard/(limit+window) items: concurrent pin demand (compute +
-      // prefetch) can never exceed the slot supply of any single shard,
-      // so batched pinning cannot deadlock even if a whole working set
-      // hashes into one shard (DESIGN.md §6, §10, §11).
-      dev->tile_ws_budget =
-          std::max(2u, min_shard / std::max(1u, limit + window));
-    }
+    // `limit + window` tiles in flight, each pinning at most
+    // min_shard/(limit+window) items: concurrent pin demand (compute +
+    // prefetch) can never exceed the slot supply of any single shard, so
+    // batched pinning cannot deadlock even if a whole working set hashes
+    // into one shard (DESIGN.md §6, §10, §11).
+    dev->tile_ws_budget =
+        std::max(2u, min_shard / std::max(1u, limit + window));
     eng.devices.push_back(std::move(dev));
     eng.job_limits.push_back(std::make_unique<Semaphore>(limit + window));
   }
@@ -1300,26 +1154,17 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
   const auto wall_start = Profiler::Clock::now();
 
   // The divide-and-conquer work-stealing executor (§4.2): one worker per
-  // GPU; leaves become tile jobs (or exploded per-pair jobs), throttled
-  // per worker.
+  // GPU; leaves become tile jobs, throttled per worker.
   steal::StealExecutor::Config exec_cfg;
   exec_cfg.num_workers = static_cast<std::uint32_t>(eng.devices.size());
   exec_cfg.max_leaf_pairs = config_.max_leaf_pairs;
   exec_cfg.seed = config_.seed;
   exec_cfg.leaf_order = config_.leaf_order;
   steal::StealExecutor executor(exec_cfg);
-  const bool tile_mode = config_.tile_batching;
-  const auto leaf = [&eng, tile_mode](const dnc::Region& region,
-                                      std::uint32_t worker) {
+  const auto leaf = [&eng](const dnc::Region& region,
+                           std::uint32_t worker) {
     eng.done->count_up(dnc::count_pairs(region));
-    if (tile_mode) {
-      submit_tile(eng, region, worker);
-      return;
-    }
-    dnc::for_each_pair(region, [&](dnc::Pair pair) {
-      eng.job_limits[worker]->acquire();  // back-pressure (§4.2)
-      (new Job(eng, *eng.devices[worker], worker, pair))->start();
-    });
+    submit_tile(eng, region, worker);
   };
   steal::ExecutorStats steal_stats;
   steal::StealExporter exporter;

@@ -76,8 +76,8 @@ struct MeshPort {
   std::function<void(telemetry::NodeStatsFn)> register_stats;
 };
 
-/// The runtime's unit of result delivery: one tile's results (a single
-/// pair on the per-pair path), handed over whole by the result consumer.
+/// The runtime's unit of result delivery: one tile's results, handed over
+/// whole by the result consumer.
 struct ResultBatch {
   std::vector<PairResult> results;
   /// The tile's sampled result.deliver span (DESIGN.md §16); zero ids
@@ -107,27 +107,17 @@ class NodeRuntime {
     /// per shard (see DESIGN.md §10).
     std::uint32_t cache_shards = 0;
 
-    /// Concurrent jobs per worker (§4.2); clamped to half the device
-    /// slot count so two pins per job can never wedge allocation. In
-    /// tile-batched mode this counts *tiles* in flight, and each tile's
-    /// working set is capped at (device slots / tiles in flight) so the
-    /// concurrent pin demand can never exceed the slot supply.
+    /// Concurrent tile jobs per worker (§4.2), clamped to half the
+    /// device slot count. Each tile's working set is capped at (device
+    /// slots / tiles in flight) so the concurrent pin demand can never
+    /// exceed the slot supply.
     std::uint32_t job_limit_per_worker = 8;
 
-    /// Execute leaf regions as single tile jobs: the whole working set is
-    /// pinned through one batched cache acquire, every compare of the tile
-    /// runs as one GPU-queue task, and the tile's results enter the result
-    /// queue as one entry. false selects the historical per-pair job
-    /// pipeline (kept for head-to-head benchmarking; results are
-    /// mode-invariant).
-    bool tile_batching = true;
-
-    /// Look-ahead prefetch window per device, in tiles (tile-batched mode
-    /// only; ignored on the per-pair path). The per-device job budget
-    /// splits into a *compute* budget (job_limit_per_worker, clamped as
-    /// before) and this many additional in-flight tiles whose missing
-    /// items are driven through the load pipeline ahead of need, so the
-    /// kernels for tile T overlap the I/O/parse/H2D stages of tiles
+    /// Look-ahead prefetch window per device, in tiles. The per-device
+    /// job budget splits into a *compute* budget (job_limit_per_worker,
+    /// clamped as before) and this many additional in-flight tiles whose
+    /// missing items are driven through the load pipeline ahead of need,
+    /// so the kernels for tile T overlap the I/O/parse/H2D stages of tiles
     /// T+1..T+W (§4.3's transfer/compute overlap carried into the
     /// scheduler). The deadlock-freedom invariant generalises: compute
     /// demand + prefetch demand ≤ device slots per shard, so tile working
@@ -149,10 +139,12 @@ class NodeRuntime {
     std::uint64_t max_leaf_pairs = 64;
     std::uint64_t seed = 1;
 
-    /// Bound on consecutive kFailed cache-grant re-drives per item before
-    /// the terminal error path fires (host-level bypass for loads, a NaN
-    /// result for a per-pair job, a failed item for a tile). Re-drives
-    /// back off exponentially (microsecond scale, capped at 1 ms), so a
+    /// Bound on kFailed cache-grant re-drives before the terminal error
+    /// path fires. A tile keeps one count for all of its items; past the
+    /// bound, each item that sees another kFailed is failed and its pairs
+    /// get NaN. A load keeps its own count of host-level re-drives and,
+    /// past the bound, bypasses the host cache. Re-drives back off
+    /// exponentially (microsecond scale, capped at 1 ms), so a
     /// persistently aborting writer can neither livelock the runtime nor
     /// spin a core. Counted in Report::acquire_retries.
     std::uint32_t max_acquire_retries = 64;
@@ -209,7 +201,7 @@ class NodeRuntime {
 
   struct Report {
     std::uint64_t pairs = 0;
-    std::uint64_t tiles = 0;        // tile jobs executed (0 in per-pair mode)
+    std::uint64_t tiles = 0;        // tile jobs executed
     std::uint64_t loads = 0;        // object-store load-pipeline executions
     std::uint64_t peer_loads = 0;   // loads served from a peer's host cache
     double reuse_factor = 0.0;      // loads / n
@@ -219,7 +211,9 @@ class NodeRuntime {
     /// Read pins granted by the shards' lock-free fast path, host +
     /// devices. Counts both acquire hits (folded into the hit totals
     /// above) and remote probe pins (counted in the probe counters, not
-    /// in hits). 0 when cache_shards == 1.
+    /// in hits). A cache with one shard has no fast path and adds 0:
+    /// every cache when cache_shards == 1, and any device cache the
+    /// deadlock-freedom clamp leaves at one shard.
     std::uint64_t cache_fast_hits = 0;
     std::vector<std::uint64_t> pairs_per_device;
     /// Tiles whose working set finished loading while every compute slot

@@ -939,9 +939,9 @@ TEST(Checkpoint, TornJournalFuzzDetectsEveryCorruption) {
 TEST(NodeRuntime, ExhaustedAcquireRetriesFailPairsAndTerminate) {
   // A missing input makes every fill of that item abort, so queued
   // waiters see kFailed grants. With a zero retry budget each kFailed
-  // goes straight to its terminal path (host-level load bypass, NaN
-  // pair, failed tile item) — the run must still terminate with every
-  // other pair exact, in both execution modes.
+  // goes straight to its terminal path (host-level load bypass, failed
+  // tile item) — the run must still terminate with every other pair
+  // exact.
   storage::MemoryStore store;
   apps::MicroscopyConfig mc;
   mc.particles = 5;
@@ -959,32 +959,28 @@ TEST(NodeRuntime, ExhaustedAcquireRetriesFailPairsAndTerminate) {
     broken.put(app.file_name(i), store.read(app.file_name(i)));
   }
 
-  for (const bool tile_batching : {true, false}) {
-    SCOPED_TRACE(tile_batching ? "tile-batched" : "per-pair");
-    runtime::NodeRuntime::Config rt;
-    rt.cpu_threads = 2;
-    rt.host_cache_capacity = 1_MiB;
-    rt.tile_batching = tile_batching;
-    rt.max_acquire_retries = 0;  // first kFailed is terminal
-    runtime::NodeRuntime runtime(rt);
-    ResultMap actual;
-    std::mutex mutex;
-    const auto report =
-        runtime.run(app, broken, [&](const PairResult& r) {
-          std::scoped_lock lock(mutex);
-          actual[{r.left, r.right}] = r.score;
-        });
+  runtime::NodeRuntime::Config rt;
+  rt.cpu_threads = 2;
+  rt.host_cache_capacity = 1_MiB;
+  rt.max_acquire_retries = 0;  // first kFailed is terminal
+  runtime::NodeRuntime runtime(rt);
+  ResultMap actual;
+  std::mutex mutex;
+  const auto report =
+      runtime.run(app, broken, [&](const PairResult& r) {
+        std::scoped_lock lock(mutex);
+        actual[{r.left, r.right}] = r.score;
+      });
 
-    ASSERT_EQ(actual.size(), expected.size());
-    for (const auto& [pair, score] : actual) {
-      if (pair.first == 2 || pair.second == 2) {
-        EXPECT_TRUE(std::isnan(score));
-      } else {
-        EXPECT_NEAR(score, expected.at(pair), 1e-9);
-      }
+  ASSERT_EQ(actual.size(), expected.size());
+  for (const auto& [pair, score] : actual) {
+    if (pair.first == 2 || pair.second == 2) {
+      EXPECT_TRUE(std::isnan(score));
+    } else {
+      EXPECT_NEAR(score, expected.at(pair), 1e-9);
     }
-    EXPECT_EQ(report.pairs, expected.size());
   }
+  EXPECT_EQ(report.pairs, expected.size());
 }
 
 // --- master failover and checkpoint/resume chaos (DESIGN.md §14) -----------

@@ -278,62 +278,81 @@ TEST(LiveCluster, FourNodeForensicsMatchesSingleNodeExactly) {
   const ResultMap expected = single_node_reference(app, store);
   ASSERT_EQ(expected.size(), pairs);
 
-  LiveClusterConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.node.devices = {gpu::titanx_maxwell()};
-  cfg.node.host_cache_capacity = 64_MiB;
-  cfg.node.cpu_threads = 2;
-  // Force multi-shard caches (with their lock-free fast path) regardless
-  // of the host's core count: the exact-multiset guarantee must hold with
-  // sharding enabled.
-  cfg.node.cache_shards = 4;
-  LiveCluster cluster(cfg);
+  // Default heartbeats arm the failover master (standby mirror, master
+  // tick). With heartbeats off the master has no failover, no journal and
+  // no tick: its flush batches are the only delivery path, and the final
+  // pair's flush alone must end the run.
+  for (const bool heartbeats : {true, false}) {
+    SCOPED_TRACE(heartbeats ? "heartbeats on" : "heartbeats off");
+    LiveClusterConfig cfg;
+    cfg.num_nodes = 4;
+    cfg.node.devices = {gpu::titanx_maxwell()};
+    cfg.node.host_cache_capacity = 64_MiB;
+    cfg.node.cpu_threads = 2;
+    // Force multi-shard caches (with their lock-free fast path)
+    // regardless of the host's core count: the exact-multiset guarantee
+    // must hold with sharding enabled.
+    cfg.node.cache_shards = 4;
+    if (!heartbeats) cfg.heartbeat_interval_s = 0;
+    LiveCluster cluster(cfg);
 
-  // The master callback is serialised on the mesh service thread — no
-  // mutex needed.
-  ResultMap actual;
-  const auto report = cluster.run_all_pairs(
-      app, store, [&](const PairResult& r) { actual[{r.left, r.right}] = r.score; });
+    // The master callback is serialised on the mesh service thread — no
+    // mutex needed.
+    ResultMap actual;
+    const auto report = cluster.run_all_pairs(
+        app, store,
+        [&](const PairResult& r) { actual[{r.left, r.right}] = r.score; });
 
-  // Exact multiset equality with the single-node run: peer-fetched bytes
-  // are bit-identical to locally loaded ones, so scores match exactly.
-  EXPECT_EQ(actual, expected);
-  EXPECT_EQ(report.pairs, pairs);
+    // Exact multiset equality with the single-node run: peer-fetched
+    // bytes are bit-identical to locally loaded ones, so scores match
+    // exactly.
+    EXPECT_EQ(actual, expected);
+    EXPECT_EQ(report.pairs, pairs);
 
-  // No faults injected: the failure machinery (heartbeats, leases, the
-  // master's ledger) runs but must be invisible — no verdicts, no
-  // re-execution, no dropped results.
-  EXPECT_EQ(report.node_deaths, 0u);
-  EXPECT_EQ(report.regions_reexecuted, 0u);
-  EXPECT_EQ(report.duplicate_results_dropped, 0u);
-  EXPECT_EQ(report.failover.results_received, pairs);
+    // No faults injected: the failure machinery (heartbeats, leases, the
+    // master's ledger) runs but must be invisible — no verdicts, no
+    // re-execution, no dropped results.
+    EXPECT_EQ(report.node_deaths, 0u);
+    EXPECT_EQ(report.regions_reexecuted, 0u);
+    EXPECT_EQ(report.duplicate_results_dropped, 0u);
+    EXPECT_EQ(report.failover.results_received, pairs);
 
-  // Peer fetches actually replaced storage reads.
-  EXPECT_GT(report.directory.chain_hits, 0u);
-  EXPECT_GT(report.peer_loads, 0u);
-  EXPECT_EQ(report.peer_cache.chain_hits, report.directory.chain_hits);
-  EXPECT_EQ(report.peer_cache.total_hits(), report.peer_cache.chain_hits);
-  EXPECT_EQ(report.peer_cache.chain_hits + report.peer_cache.chain_misses,
-            report.peer_cache.requests);
-  EXPECT_EQ(report.peer_loads, report.peer_cache.chain_hits);
+    // Peer fetches actually replaced storage reads.
+    EXPECT_GT(report.directory.chain_hits, 0u);
+    EXPECT_GT(report.peer_loads, 0u);
+    EXPECT_EQ(report.peer_cache.chain_hits, report.directory.chain_hits);
+    EXPECT_EQ(report.peer_cache.total_hits(), report.peer_cache.chain_hits);
+    EXPECT_EQ(report.peer_cache.chain_hits + report.peer_cache.chain_misses,
+              report.peer_cache.requests);
+    EXPECT_EQ(report.peer_loads, report.peer_cache.chain_hits);
 
-  // Traffic accounting: one request message per fetch, one result message
-  // per tile, and per-node pair counts sum to the total.
-  const auto& traffic = report.traffic.per_tag;
-  EXPECT_EQ(traffic[static_cast<std::size_t>(net::Tag::kCacheRequest)].messages,
-            report.peer_cache.requests);
-  std::uint64_t node_pairs = 0, node_loads = 0, node_tiles = 0;
-  for (const auto& node : report.nodes) {
-    node_pairs += node.pairs;
-    node_loads += node.loads;
-    node_tiles += node.tiles;
+    // Traffic accounting: one request message per fetch, one result
+    // message per tile, and per-node pair counts sum to the total.
+    const auto& traffic = report.traffic.per_tag;
+    EXPECT_EQ(
+        traffic[static_cast<std::size_t>(net::Tag::kCacheRequest)].messages,
+        report.peer_cache.requests);
+    std::uint64_t node_pairs = 0, node_loads = 0, node_tiles = 0;
+    for (const auto& node : report.nodes) {
+      node_pairs += node.pairs;
+      node_loads += node.loads;
+      node_tiles += node.tiles;
+    }
+    EXPECT_EQ(traffic[static_cast<std::size_t>(net::Tag::kResult)].messages,
+              node_tiles);
+    EXPECT_EQ(node_pairs, pairs);
+    EXPECT_EQ(node_loads, report.loads);
+    // Every node pulled its weight.
+    for (const auto& node : report.nodes) EXPECT_GT(node.pairs, 0u);
+    // Only a failover master mirrors its flushes to a standby.
+    const auto mirrored =
+        traffic[static_cast<std::size_t>(net::Tag::kLedgerSync)].messages;
+    if (heartbeats) {
+      EXPECT_GT(mirrored, 0u);
+    } else {
+      EXPECT_EQ(mirrored, 0u);
+    }
   }
-  EXPECT_EQ(traffic[static_cast<std::size_t>(net::Tag::kResult)].messages,
-            node_tiles);
-  EXPECT_EQ(node_pairs, pairs);
-  EXPECT_EQ(node_loads, report.loads);
-  // Every node pulled its weight.
-  for (const auto& node : report.nodes) EXPECT_GT(node.pairs, 0u);
 }
 
 TEST(LiveCluster, MultiPairTilesSendOneResultMessagePerTile) {
@@ -392,8 +411,7 @@ TEST(LiveCluster, MultiPairTilesSendOneResultMessagePerTile) {
 TEST(LiveCluster, FailedPeerChainsFallBackToStoreInBothModes) {
   // Starved caches guarantee evicted candidate chains: fetches walk to
   // peers that have already dropped the item and must fall back to the
-  // object store, in both execution modes, with mode-invariant results
-  // (the §6.1 no-hang invariant, live).
+  // object store, with exact results (the §6.1 no-hang invariant, live).
   storage::MemoryStore store;
   apps::ForensicsConfig fc;
   fc.cameras = 3;
@@ -406,28 +424,24 @@ TEST(LiveCluster, FailedPeerChainsFallBackToStoreInBothModes) {
 
   const ResultMap expected = single_node_reference(app, store);
 
-  for (const bool tile_batching : {true, false}) {
-    SCOPED_TRACE(tile_batching ? "tile-batched" : "per-pair");
-    LiveClusterConfig cfg;
-    cfg.num_nodes = 3;
-    cfg.node.devices = {gpu::titanx_maxwell()};
-    cfg.node.cpu_threads = 2;
-    cfg.node.tile_batching = tile_batching;
-    // 3 host slots and 4 device slots per node for 12 items.
-    cfg.node.host_cache_capacity = 3 * app.slot_size();
-    cfg.node.device_cache_capacity = 4 * app.slot_size();
-    LiveCluster cluster(cfg);
+  LiveClusterConfig cfg;
+  cfg.num_nodes = 3;
+  cfg.node.devices = {gpu::titanx_maxwell()};
+  cfg.node.cpu_threads = 2;
+  // 3 host slots and 4 device slots per node for 12 items.
+  cfg.node.host_cache_capacity = 3 * app.slot_size();
+  cfg.node.device_cache_capacity = 4 * app.slot_size();
+  LiveCluster cluster(cfg);
 
-    ResultMap actual;
-    const auto report = cluster.run_all_pairs(
-        app, store,
-        [&](const PairResult& r) { actual[{r.left, r.right}] = r.score; });
+  ResultMap actual;
+  const auto report = cluster.run_all_pairs(
+      app, store,
+      [&](const PairResult& r) { actual[{r.left, r.right}] = r.score; });
 
-    EXPECT_EQ(actual, expected);
-    // Chains were walked and missed; the store served the fallbacks.
-    EXPECT_GT(report.peer_cache.chain_misses, 0u);
-    EXPECT_GT(report.loads, 0u);
-  }
+  EXPECT_EQ(actual, expected);
+  // Chains were walked and missed; the store served the fallbacks.
+  EXPECT_GT(report.peer_cache.chain_misses, 0u);
+  EXPECT_GT(report.loads, 0u);
 }
 
 /// Items whose parsed form is highly compressible — exercises the wire

@@ -131,52 +131,6 @@ TEST(NodeRuntime, BioinformaticsMatchesBruteForce) {
   }
 }
 
-TEST(NodeRuntime, TileBatchingMatchesPerPairPath) {
-  // The tile-batched path and the per-pair path must be observationally
-  // identical: same result map, and with an ample cache the same number of
-  // load-pipeline executions (one per item).
-  storage::MemoryStore store;
-  apps::ForensicsConfig cfg;
-  cfg.cameras = 3;
-  cfg.images_per_camera = 4;
-  cfg.width = 64;
-  cfg.height = 48;
-  cfg.seed = 9;
-  apps::ForensicsDataset dataset(cfg, store);
-  apps::ForensicsApplication app(dataset);
-
-  NodeRuntime::Config base;
-  base.devices = {gpu::titanx_maxwell()};
-  base.host_cache_capacity = 16_MiB;
-  base.cpu_threads = 2;
-
-  NodeRuntime::Config tile_cfg = base;
-  tile_cfg.tile_batching = true;
-  NodeRuntime tile_rt(tile_cfg);
-  NodeRuntime::Report tile_report;
-  const ResultMap tile_results = collect(tile_rt, app, store, &tile_report);
-
-  NodeRuntime::Config pair_cfg = base;
-  pair_cfg.tile_batching = false;
-  NodeRuntime pair_rt(pair_cfg);
-  NodeRuntime::Report pair_report;
-  const ResultMap pair_results = collect(pair_rt, app, store, &pair_report);
-
-  ASSERT_EQ(tile_results.size(), pair_results.size());
-  for (const auto& [pair, score] : pair_results) {
-    const auto it = tile_results.find(pair);
-    ASSERT_NE(it, tile_results.end());
-    EXPECT_NEAR(it->second, score, 1e-12)
-        << "pair (" << pair.first << "," << pair.second << ")";
-  }
-  // Cache fits all 12 items: both modes load each item exactly once.
-  EXPECT_EQ(tile_report.loads, app.item_count());
-  EXPECT_EQ(pair_report.loads, app.item_count());
-  EXPECT_GT(tile_report.tiles, 0u);
-  EXPECT_EQ(pair_report.tiles, 0u);
-  EXPECT_EQ(tile_report.pairs, pair_report.pairs);
-}
-
 TEST(NodeRuntime, ShardedCacheMatchesSingleLockPolicy) {
   // shards=1 is the historical single-lock policy; shards=8 runs the
   // sharded caches with their lock-free fast path. Result maps must be
@@ -200,45 +154,39 @@ TEST(NodeRuntime, ShardedCacheMatchesSingleLockPolicy) {
   // jobs overlap on shared items, which is what drives the fast path.
   base.job_limit_per_worker = 2;
 
-  for (const bool tile_batching : {true, false}) {
-    SCOPED_TRACE(tile_batching ? "tile-batched" : "per-pair");
-    base.tile_batching = tile_batching;
+  NodeRuntime::Config single_cfg = base;
+  single_cfg.cache_shards = 1;
+  NodeRuntime single_rt(single_cfg);
+  NodeRuntime::Report single_report;
+  const ResultMap single_results =
+      collect(single_rt, app, store, &single_report);
 
-    NodeRuntime::Config single_cfg = base;
-    single_cfg.cache_shards = 1;
-    NodeRuntime single_rt(single_cfg);
-    NodeRuntime::Report single_report;
-    const ResultMap single_results =
-        collect(single_rt, app, store, &single_report);
+  NodeRuntime::Config sharded_cfg = base;
+  sharded_cfg.cache_shards = 8;
+  NodeRuntime sharded_rt(sharded_cfg);
+  NodeRuntime::Report sharded_report;
+  const ResultMap sharded_results =
+      collect(sharded_rt, app, store, &sharded_report);
 
-    NodeRuntime::Config sharded_cfg = base;
-    sharded_cfg.cache_shards = 8;
-    NodeRuntime sharded_rt(sharded_cfg);
-    NodeRuntime::Report sharded_report;
-    const ResultMap sharded_results =
-        collect(sharded_rt, app, store, &sharded_report);
-
-    ASSERT_EQ(single_results.size(), sharded_results.size());
-    for (const auto& [pair, score] : single_results) {
-      const auto it = sharded_results.find(pair);
-      ASSERT_NE(it, sharded_results.end());
-      EXPECT_EQ(it->second, score)
-          << "pair (" << pair.first << "," << pair.second << ")";
-    }
-    EXPECT_EQ(single_report.loads, app.item_count());
-    EXPECT_EQ(sharded_report.loads, app.item_count());
-    EXPECT_EQ(single_report.cache_fast_hits, 0u);
-    // Every item stays resident and repeatedly re-pinned: the sharded run
-    // must actually exercise the lock-free path.
-    EXPECT_GT(sharded_report.cache_fast_hits, 0u);
+  ASSERT_EQ(single_results.size(), sharded_results.size());
+  for (const auto& [pair, score] : single_results) {
+    const auto it = sharded_results.find(pair);
+    ASSERT_NE(it, sharded_results.end());
+    EXPECT_EQ(it->second, score)
+        << "pair (" << pair.first << "," << pair.second << ")";
   }
+  EXPECT_EQ(single_report.loads, app.item_count());
+  EXPECT_EQ(sharded_report.loads, app.item_count());
+  EXPECT_EQ(single_report.cache_fast_hits, 0u);
+  // Every item stays resident and repeatedly re-pinned: the sharded run
+  // must actually exercise the lock-free path.
+  EXPECT_GT(sharded_report.cache_fast_hits, 0u);
 }
 
 TEST(NodeRuntime, ModeEquivalenceAcrossPrefetchTilingAndSharding) {
   // The full execution-mode matrix must be observationally identical:
-  // prefetch {0, 4} x tile_batching {on, off} x cache_shards {1, 8} all
-  // produce the exact same result multiset. (Prefetch rides the tile
-  // pipeline — on the per-pair path the axis verifies it is inert.)
+  // every cell of prefetch {0, 4} x cache_shards {1, 8} runs leaves as
+  // tile jobs and produces exactly the serial reference's results.
   storage::MemoryStore store;
   apps::ForensicsConfig cfg;
   cfg.cameras = 3;
@@ -255,39 +203,30 @@ TEST(NodeRuntime, ModeEquivalenceAcrossPrefetchTilingAndSharding) {
   base.cpu_threads = 4;
   base.job_limit_per_worker = 2;
 
-  ResultMap reference;
-  bool have_reference = false;
+  const ResultMap reference = brute_force(app, store);
   for (const std::uint32_t prefetch : {0u, 4u}) {
-    for (const bool tile_batching : {true, false}) {
-      for (const std::uint32_t shards : {1u, 8u}) {
-        SCOPED_TRACE("prefetch=" + std::to_string(prefetch) +
-                     " tile=" + std::to_string(tile_batching) +
-                     " shards=" + std::to_string(shards));
-        NodeRuntime::Config rt_cfg = base;
-        rt_cfg.prefetch_tiles = prefetch;
-        rt_cfg.tile_batching = tile_batching;
-        rt_cfg.cache_shards = shards;
-        NodeRuntime runtime(rt_cfg);
-        NodeRuntime::Report report;
-        const ResultMap results = collect(runtime, app, store, &report);
-        if (!have_reference) {
-          reference = results;
-          have_reference = true;
-          continue;
-        }
-        ASSERT_EQ(results.size(), reference.size());
-        for (const auto& [pair, score] : reference) {
-          const auto it = results.find(pair);
-          ASSERT_NE(it, results.end());
-          EXPECT_EQ(it->second, score)
-              << "pair (" << pair.first << "," << pair.second << ")";
-        }
-        // Ample cache: every mode loads each item exactly once, prefetch
-        // or not — the window changes *when* loads start, never how many.
-        EXPECT_EQ(report.loads, app.item_count());
-        if (prefetch == 0 || !tile_batching) {
-          EXPECT_EQ(report.prefetch_hits, 0u);
-        }
+    for (const std::uint32_t shards : {1u, 8u}) {
+      SCOPED_TRACE("prefetch=" + std::to_string(prefetch) +
+                   " shards=" + std::to_string(shards));
+      NodeRuntime::Config rt_cfg = base;
+      rt_cfg.prefetch_tiles = prefetch;
+      rt_cfg.cache_shards = shards;
+      NodeRuntime runtime(rt_cfg);
+      NodeRuntime::Report report;
+      const ResultMap results = collect(runtime, app, store, &report);
+      ASSERT_EQ(results.size(), reference.size());
+      for (const auto& [pair, score] : reference) {
+        const auto it = results.find(pair);
+        ASSERT_NE(it, results.end());
+        EXPECT_EQ(it->second, score)
+            << "pair (" << pair.first << "," << pair.second << ")";
+      }
+      // Ample cache: every mode loads each item exactly once, prefetch
+      // or not — the window changes *when* loads start, never how many.
+      EXPECT_EQ(report.loads, app.item_count());
+      EXPECT_GT(report.tiles, 0u);
+      if (prefetch == 0) {
+        EXPECT_EQ(report.prefetch_hits, 0u);
       }
     }
   }
@@ -356,29 +295,25 @@ class EmptyApp final : public runtime::Application {
 
 TEST(NodeRuntime, ReuseFactorFiniteOnDegenerateRuns) {
   // Regression: zero loads / zero items must never surface NaN or inf in
-  // reuse_factor (or leave stall accounting unsized). Exercise both
-  // execution modes for n = 0 (nothing exists) and n = 1 (an item but no
-  // pair — the store is empty, and no load may even start).
-  for (const bool tile_batching : {true, false}) {
-    for (const std::uint32_t n : {0u, 1u}) {
-      SCOPED_TRACE("tile=" + std::to_string(tile_batching) +
-                   " n=" + std::to_string(n));
-      EmptyApp app(n);
-      storage::MemoryStore store;  // deliberately empty
-      NodeRuntime::Config rt;
-      rt.cpu_threads = 1;
-      rt.tile_batching = tile_batching;
-      NodeRuntime runtime(rt);
-      NodeRuntime::Report report;
-      const ResultMap results = collect(runtime, app, store, &report);
-      EXPECT_TRUE(results.empty());
-      EXPECT_EQ(report.pairs, 0u);
-      EXPECT_EQ(report.loads, 0u);
-      EXPECT_TRUE(std::isfinite(report.reuse_factor));
-      EXPECT_EQ(report.reuse_factor, 0.0);
-      ASSERT_EQ(report.device_stall_seconds.size(), 1u);
-      EXPECT_TRUE(std::isfinite(report.device_stall_seconds[0]));
-    }
+  // reuse_factor (or leave stall accounting unsized). Exercise n = 0
+  // (nothing exists) and n = 1 (an item but no pair — the store is empty,
+  // and no load may even start).
+  for (const std::uint32_t n : {0u, 1u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    EmptyApp app(n);
+    storage::MemoryStore store;  // deliberately empty
+    NodeRuntime::Config rt;
+    rt.cpu_threads = 1;
+    NodeRuntime runtime(rt);
+    NodeRuntime::Report report;
+    const ResultMap results = collect(runtime, app, store, &report);
+    EXPECT_TRUE(results.empty());
+    EXPECT_EQ(report.pairs, 0u);
+    EXPECT_EQ(report.loads, 0u);
+    EXPECT_TRUE(std::isfinite(report.reuse_factor));
+    EXPECT_EQ(report.reuse_factor, 0.0);
+    ASSERT_EQ(report.device_stall_seconds.size(), 1u);
+    EXPECT_TRUE(std::isfinite(report.device_stall_seconds[0]));
   }
 }
 
@@ -440,8 +375,6 @@ TEST(NodeRuntime, TinyCacheStillCorrect) {
 TEST(NodeRuntime, MissingFileFailsPairsNotRun) {
   // Failure injection: drop one input file. Pairs touching it complete
   // with NaN; everything else is still correct, and the run terminates.
-  // Both execution modes must handle the failure identically (TileJob's
-  // load_failed marking and Job::fail_pair are independent code paths).
   storage::MemoryStore store;
   apps::MicroscopyConfig cfg;
   cfg.particles = 5;
@@ -460,29 +393,25 @@ TEST(NodeRuntime, MissingFileFailsPairsNotRun) {
     broken.put(app.file_name(i), store.read(app.file_name(i)));
   }
 
-  for (const bool tile_batching : {true, false}) {
-    SCOPED_TRACE(tile_batching ? "tile-batched" : "per-pair");
-    NodeRuntime::Config rt;
-    rt.cpu_threads = 2;
-    rt.host_cache_capacity = 1_MiB;
-    rt.tile_batching = tile_batching;
-    NodeRuntime runtime(rt);
-    NodeRuntime::Report report;
-    const ResultMap actual = collect(runtime, app, broken, &report);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (const auto& [pair, score] : actual) {
-      if (pair.first == 2 || pair.second == 2) {
-        EXPECT_TRUE(std::isnan(score)) << "pairs on the missing item fail";
-      } else {
-        EXPECT_NEAR(score, expected.at(pair), 1e-9);
-      }
+  NodeRuntime::Config rt;
+  rt.cpu_threads = 2;
+  rt.host_cache_capacity = 1_MiB;
+  NodeRuntime runtime(rt);
+  NodeRuntime::Report report;
+  const ResultMap actual = collect(runtime, app, broken, &report);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (const auto& [pair, score] : actual) {
+    if (pair.first == 2 || pair.second == 2) {
+      EXPECT_TRUE(std::isnan(score)) << "pairs on the missing item fail";
+    } else {
+      EXPECT_NEAR(score, expected.at(pair), 1e-9);
     }
-    // Failed pairs still count as processed: per-device accounting sums
-    // to the full pair count in both modes.
-    std::uint64_t device_sum = 0;
-    for (const auto p : report.pairs_per_device) device_sum += p;
-    EXPECT_EQ(device_sum, report.pairs);
   }
+  // Failed pairs still count as processed: per-device accounting sums to
+  // the full pair count.
+  std::uint64_t device_sum = 0;
+  for (const auto p : report.pairs_per_device) device_sum += p;
+  EXPECT_EQ(device_sum, report.pairs);
 }
 
 TEST(NodeRuntime, ProfilerTraceWhenEnabled) {
