@@ -524,9 +524,10 @@ struct PrefetchResult {
 
 /// Shared load-bound runtime configuration: device cache half the item
 /// population, host cache off, every miss pays the throttled store's
-/// 250 us latency on the single I/O thread, and ONE compute slot per
-/// device (job_limit 1) so without a prefetch window loads and kernels
-/// strictly alternate. Compute passes are tuned so kernel time roughly
+/// 250 us latency on an I/O lane (one lane per tile in flight: one
+/// without a window, 1 + W with one), and ONE compute slot per device
+/// (job_limit 1) so without a prefetch window loads and kernels strictly
+/// alternate. Compute passes are tuned so kernel time roughly
 /// balances load time — the regime where overlap pays.
 runtime::NodeRuntime::Config load_bound_config() {
   runtime::NodeRuntime::Config cfg;

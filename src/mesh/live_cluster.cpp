@@ -106,7 +106,6 @@ LiveCluster::Report LiveCluster::run_all_pairs(
   tc.corrupt_rate = config_.frame_corrupt_rate;
   tc.corrupt_seed = config_.frame_corrupt_seed;
   InProcessTransport transport(p, tc);
-  storage::SynchronizedStore shared_store(store);
   const std::uint64_t remaining_pairs = total_pairs - recovered.size();
   const auto done = std::make_shared<std::atomic<bool>>(remaining_pairs == 0);
 
@@ -284,14 +283,17 @@ LiveCluster::Report LiveCluster::run_all_pairs(
         // Grey-failure straggler injection: the designated slow node runs
         // its kernels stretched and (optionally) sees extra object-store
         // read latency — alive and correct, just slow.
-        storage::ObjectStore* node_store = &shared_store;
+        // Every node reads the caller's store directly: stores serve
+        // concurrent reads (ObjectStore's contract), as the paper's
+        // central server serves every node at once (§6.2).
+        storage::ObjectStore* node_store = &store;
         std::optional<storage::ThrottledStore> slow_store;
         if (id == config_.slow_node) {
           if (config_.slow_factor > 1.0) {
             ncfg.kernel_slowdown = config_.slow_factor;
           }
           if (config_.slow_store_latency_us > 0) {
-            slow_store.emplace(shared_store, config_.slow_store_latency_us);
+            slow_store.emplace(store, config_.slow_store_latency_us);
             node_store = &*slow_store;
           }
         }

@@ -265,7 +265,9 @@ class LiveCluster {
   /// `on_result` is the master callback: invoked serially (on the master's
   /// service thread) exactly once per pair, in completion order. The
   /// result multiset is identical to a single-node run over the same
-  /// store. Blocks until the whole cluster has finished.
+  /// store. Every node reads `store` concurrently (ObjectStore's
+  /// concurrent-read contract). Blocks until the whole cluster has
+  /// finished.
   Report run_all_pairs(const runtime::Application& app,
                        storage::ObjectStore& store,
                        const runtime::NodeRuntime::ResultFn& on_result);

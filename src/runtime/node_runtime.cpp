@@ -27,6 +27,7 @@ using AllocPriority = cache::SlotCache::AllocPriority;
 
 /// Batch size for worker drains: one lock acquisition hands a worker up to
 /// this many tasks (tasks are short; larger batches only add latency).
+/// I/O lanes never batch: a read blocks, so each lane takes one per wake.
 constexpr std::size_t kDrainBatch = 16;
 
 /// CPU-pool task tagged with the profiler kind it should be recorded as.
@@ -140,6 +141,7 @@ struct Engine {
   telemetry::LatencyHistogram* tile_latency = nullptr;    // submit → finish
   telemetry::LatencyHistogram* tile_load_wait = nullptr;  // submit → resolved
   telemetry::LatencyHistogram* cache_wait = nullptr;      // queued grants
+  telemetry::LatencyHistogram* load_latency = nullptr;    // store loads
   telemetry::Gauge* result_depth = nullptr;   // result_q occupancy, pairs
   telemetry::Gauge* loads_inflight = nullptr; // LoadOps out of the pool
 
@@ -147,9 +149,11 @@ struct Engine {
   std::unique_ptr<cache::ShardedSlotCache> host_cache;  // null if disabled
   std::vector<HostBuffer> host_slots;
 
-  MpmcQueue<Task> io_q;
+  /// Store reads waiting for an I/O lane; each runs on the lane it is
+  /// handed (one lane per tile in flight).
+  MpmcQueue<std::function<void(std::size_t lane)>> io_q;
   MpmcQueue<CpuTask> cpu_q;
-  std::size_t io_lane = 0;
+  std::vector<std::size_t> io_lanes;
   std::vector<std::size_t> cpu_lanes;
 
   std::vector<std::unique_ptr<Semaphore>> job_limits;  // per worker/device
@@ -213,6 +217,7 @@ struct Engine {
     tile_latency = &metrics.histogram("tile.latency");
     tile_load_wait = &metrics.histogram("tile.load_wait");
     cache_wait = &metrics.histogram("cache.acquire_wait");
+    load_latency = &metrics.histogram("load.latency");
     result_depth = &metrics.gauge("result.queue_depth");
     loads_inflight = &metrics.gauge("loads.inflight");
   }
@@ -249,6 +254,9 @@ struct LoadOp {
   cache::SlotId dslot = cache::kInvalidSlot;  // device WRITE slot (ours)
   cache::SlotId hslot = cache::kInvalidSlot;  // host WRITE slot, if any
   std::uint32_t host_retries = 0;  // kFailed host-grant re-drives
+  /// Stamped when the load is queued for the store (run_load); zero for
+  /// host hits and peer loads, which load.latency does not time.
+  Profiler::Clock::time_point t_store{};
   /// Allocation class inherited from the requesting tile: a prefetch
   /// tile's host-cache allocations also yield to compute tiles'.
   AllocPriority prio = AllocPriority::kDemand;
@@ -271,6 +279,7 @@ LoadOp* Engine::make_load(DeviceState& dev, ItemId item, cache::SlotId dslot,
   op->dslot = dslot;
   op->hslot = cache::kInvalidSlot;
   op->host_retries = 0;
+  op->t_store = {};
   op->prio = prio;
   op->file.clear();
   op->parsed.clear();
@@ -497,13 +506,15 @@ void begin_fill(LoadOp* op) {
 
 /// Full load: I/O → parse (CPU pool) → H2D → pre-process (GPU) → publish
 /// device → (if host enabled) D2H copy-back → publish host. Every stage
-/// captures only the LoadOp pointer.
+/// captures only the LoadOp pointer; the store read runs on whichever I/O
+/// lane is free next.
 void run_load(LoadOp* op) {
   op->eng->loads.fetch_add(1, std::memory_order_relaxed);
-  op->eng->io_q.push([op] {
+  op->t_store = Profiler::Clock::now();
+  op->eng->io_q.push([op](std::size_t lane) {
     Engine& eng = *op->eng;
     try {
-      ScopedTask span(eng.profiler, eng.io_lane, TaskKind::kIo);
+      ScopedTask span(eng.profiler, lane, TaskKind::kIo);
       // Transient store errors (a flaky store timing out, DESIGN.md §15)
       // retry in place with jittered backoff, bounded per load AND by the
       // run-level error budget, so a flaky store can delay a load but
@@ -893,6 +904,11 @@ struct TileJob {
 
 /// Load complete: the tile owns the published device slot's read pin.
 void finish_load(LoadOp* op) {
+  if (op->t_store != Profiler::Clock::time_point{}) {
+    op->eng->load_latency->record_seconds(
+        std::chrono::duration<double>(Profiler::Clock::now() - op->t_store)
+            .count());
+  }
   TileJob* tile = op->tile;
   const ItemId item = op->item;
   const cache::SlotId dslot = op->dslot;
@@ -1010,6 +1026,7 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
   }
 
   // Devices: speed-normalise so the fastest runs unstretched.
+  std::uint32_t tiles_in_flight = 0;  // admission budget, all devices
   double max_speed = 0.0;
   for (const auto& spec : config_.devices) {
     max_speed = std::max(max_speed, spec.relative_speed);
@@ -1074,8 +1091,14 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
         std::max(2u, min_shard / std::max(1u, limit + window));
     eng.devices.push_back(std::move(dev));
     eng.job_limits.push_back(std::make_unique<Semaphore>(limit + window));
+    tiles_in_flight += limit + window;
   }
-  eng.io_lane = eng.profiler.add_lane("io");
+  // One I/O lane per tile the node may hold in flight: every admitted
+  // tile can have a store read outstanding, so store latency overlaps
+  // across tiles instead of queueing behind one thread (DESIGN.md §6).
+  for (std::uint32_t l = 0; l < tiles_in_flight; ++l) {
+    eng.io_lanes.push_back(eng.profiler.add_lane("io" + std::to_string(l)));
+  }
   for (std::uint32_t c = 0; c < config_.cpu_threads; ++c) {
     eng.cpu_lanes.push_back(eng.profiler.add_lane("cpu" + std::to_string(c)));
   }
@@ -1116,12 +1139,16 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
     stats_registration.port = port;
   }
 
-  // Resource threads (§4.3): I/O, CPU pool, per-device GPU/H2D/D2H, and
-  // the single result consumer — the only thread that ever calls the
+  // Resource threads (§4.3): I/O lanes, CPU pool, per-device GPU/H2D/D2H,
+  // and the single result consumer — the only thread that ever calls the
   // sink, so result delivery stays serialised without a lock on the
   // compare/postprocess path.
   std::vector<std::thread> threads;
-  threads.emplace_back([&eng] { drain(eng.io_q); });
+  for (const std::size_t lane : eng.io_lanes) {
+    threads.emplace_back([&eng, lane] {
+      while (const auto task = eng.io_q.pop()) (*task)(lane);
+    });
+  }
   threads.emplace_back([&eng] {
     for (;;) {
       auto entries = eng.result_q.pop_bulk(64);

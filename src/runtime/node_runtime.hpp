@@ -4,9 +4,10 @@
 //
 // This is the asynchronous engine of §4.3: dedicated threads per resource
 // class — a CPU pool, one kernel/H2D/D2H thread per (virtual) GPU and one
-// I/O thread — connected by queues. Comparison jobs flow through the same
-// SlotCache policy objects as the simulator (Fig 4 semantics): device-level
-// cache per GPU, node-level host cache shared by all GPUs. The
+// I/O lane (a thread running one store read at a time) per tile the node
+// may hold in flight — connected by queues. Comparison jobs flow through
+// the same SlotCache policy objects as the simulator (Fig 4 semantics):
+// device-level cache per GPU, node-level host cache shared by all GPUs. The
 // divide-and-conquer work-stealing executor (§4.2) drives submission, one
 // worker per GPU, throttled by the concurrent-job limit.
 //
@@ -110,7 +111,8 @@ class NodeRuntime {
     /// Concurrent tile jobs per worker (§4.2), clamped to half the
     /// device slot count. Each tile's working set is capped at (device
     /// slots / tiles in flight) so the concurrent pin demand can never
-    /// exceed the slot supply.
+    /// exceed the slot supply. Each tile in flight (this plus the
+    /// prefetch window) also gets its own I/O lane (DESIGN.md §6).
     std::uint32_t job_limit_per_worker = 8;
 
     /// Look-ahead prefetch window per device, in tiles. The per-device

@@ -120,8 +120,10 @@ class Profiler {
 
  private:
   /// Fixed lane slab: lanes are indexed without a lock on the busy path,
-  /// so they must never relocate. The runtime registers a handful of lanes
-  /// per device plus the CPU pool; 192 is far beyond any configuration.
+  /// so they must never relocate. The runtime registers three lanes per
+  /// device, one per CPU-pool thread and one I/O lane per tile in flight
+  /// (8 per device at the default job limit); 192 is far beyond any
+  /// configuration in this repository.
   static constexpr std::size_t kMaxLanes = 192;
 
   struct Lane {

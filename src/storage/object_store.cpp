@@ -22,29 +22,33 @@ void ObjectStore::append(const std::string&, const ByteBuffer&) {
 }
 
 void MemoryStore::put(const std::string& name, const ByteBuffer& data) {
+  std::unique_lock lock(mutex_);
   objects_[name] = data;
 }
 
 void MemoryStore::append(const std::string& name, const ByteBuffer& data) {
+  std::unique_lock lock(mutex_);
   ByteBuffer& object = objects_[name];
   object.insert(object.end(), data.begin(), data.end());
 }
 
 ByteBuffer MemoryStore::read(const std::string& name) {
+  std::shared_lock lock(mutex_);
   const auto it = objects_.find(name);
   if (it == objects_.end()) {
     throw std::runtime_error("MemoryStore: no such object: " + name);
   }
-  ++stats_.reads;
-  stats_.bytes_read += it->second.size();
+  count_read(it->second.size());
   return it->second;
 }
 
 bool MemoryStore::exists(const std::string& name) const {
+  std::shared_lock lock(mutex_);
   return objects_.count(name) != 0;
 }
 
 Bytes MemoryStore::size_of(const std::string& name) const {
+  std::shared_lock lock(mutex_);
   const auto it = objects_.find(name);
   if (it == objects_.end()) {
     throw std::runtime_error("MemoryStore: no such object: " + name);
@@ -53,6 +57,7 @@ Bytes MemoryStore::size_of(const std::string& name) const {
 }
 
 std::vector<std::string> MemoryStore::list() const {
+  std::shared_lock lock(mutex_);
   std::vector<std::string> names;
   names.reserve(objects_.size());
   for (const auto& [name, data] : objects_) names.push_back(name);
@@ -60,40 +65,10 @@ std::vector<std::string> MemoryStore::list() const {
 }
 
 Bytes MemoryStore::total_bytes() const {
+  std::shared_lock lock(mutex_);
   Bytes total = 0;
   for (const auto& [name, data] : objects_) total += data.size();
   return total;
-}
-
-ByteBuffer SynchronizedStore::read(const std::string& name) {
-  std::scoped_lock lock(mutex_);
-  return inner_->read(name);
-}
-
-bool SynchronizedStore::exists(const std::string& name) const {
-  std::scoped_lock lock(mutex_);
-  return inner_->exists(name);
-}
-
-Bytes SynchronizedStore::size_of(const std::string& name) const {
-  std::scoped_lock lock(mutex_);
-  return inner_->size_of(name);
-}
-
-std::vector<std::string> SynchronizedStore::list() const {
-  std::scoped_lock lock(mutex_);
-  return inner_->list();
-}
-
-void SynchronizedStore::put(const std::string& name, const ByteBuffer& data) {
-  std::scoped_lock lock(mutex_);
-  inner_->put(name, data);
-}
-
-void SynchronizedStore::append(const std::string& name,
-                               const ByteBuffer& data) {
-  std::scoped_lock lock(mutex_);
-  inner_->append(name, data);
 }
 
 ByteBuffer ThrottledStore::read(const std::string& name) {
@@ -196,8 +171,7 @@ ByteBuffer DirectoryStore::read(const std::string& name) {
   if (!file) {
     throw std::runtime_error("DirectoryStore: short read on " + name);
   }
-  ++stats_.reads;
-  stats_.bytes_read += size;
+  count_read(size);
   return data;
 }
 

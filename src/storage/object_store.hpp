@@ -10,11 +10,14 @@
 //   * SimulatedStore — virtual-time model of a shared storage server whose
 //                      aggregate bandwidth is processor-shared among the
 //                      cluster's concurrent reads (sim_store.hpp)
+// Like that server, a live store serves concurrent reads: every node's
+// I/O lanes read it at once, and nothing serialises them.
 
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <shared_mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,12 +27,22 @@
 
 namespace rocket::storage {
 
+/// Read counters of a store, as one snapshot.
 struct StoreStats {
   std::uint64_t reads = 0;
   Bytes bytes_read = 0;
 };
 
-/// Blocking object store used by the live runtime's I/O thread.
+/// Blocking object store used by the live runtime's I/O lanes.
+///
+/// Concurrency contract: `read`, `exists`, `size_of`, `list` and `stats`
+/// may be called from any number of threads at once, and while another
+/// thread writes a different object. One node runs one I/O lane per tile
+/// it may hold in flight, and a mesh hands the same store to every node,
+/// so reads overlap by design. Writes (`put`, `append`) to one object need
+/// one writer at a time; the run journal has one. Every in-tree store
+/// keeps this contract; each decorator keeps it iff the store it wraps
+/// does.
 class ObjectStore {
  public:
   virtual ~ObjectStore() = default;
@@ -50,13 +63,26 @@ class ObjectStore {
   virtual void put(const std::string& name, const ByteBuffer& data);
   virtual void append(const std::string& name, const ByteBuffer& data);
 
-  const StoreStats& stats() const { return stats_; }
+  /// Snapshot of the read counters (relaxed: they order nothing).
+  StoreStats stats() const {
+    return {reads_.load(std::memory_order_relaxed),
+            bytes_read_.load(std::memory_order_relaxed)};
+  }
 
  protected:
-  StoreStats stats_;
+  /// Count one served read of `bytes`.
+  void count_read(Bytes bytes) {
+    reads_.fetch_add(1, std::memory_order_relaxed);
+    bytes_read_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> reads_{0};
+  std::atomic<Bytes> bytes_read_{0};
 };
 
 /// In-memory store; also the backing catalogue for generated datasets.
+/// Reads share the map's lock; `put` and `append` take it exclusively.
 class MemoryStore final : public ObjectStore {
  public:
   ByteBuffer read(const std::string& name) override;
@@ -71,36 +97,17 @@ class MemoryStore final : public ObjectStore {
   Bytes total_bytes() const;
 
  private:
-  std::map<std::string, ByteBuffer> objects_;
-};
-
-/// Thread-safe adapter sharing one ObjectStore among several live nodes —
-/// the mesh's stand-in for the paper's central MinIO server (§6.2). Every
-/// node's I/O thread reads through the same mutex, which serialises the
-/// wrapped store's bookkeeping; stats accumulate on the wrapped store.
-class SynchronizedStore final : public ObjectStore {
- public:
-  explicit SynchronizedStore(ObjectStore& inner) : inner_(&inner) {}
-
-  ByteBuffer read(const std::string& name) override;
-  bool exists(const std::string& name) const override;
-  Bytes size_of(const std::string& name) const override;
-  std::vector<std::string> list() const override;
-
-  bool supports_write() const override { return inner_->supports_write(); }
-  void put(const std::string& name, const ByteBuffer& data) override;
-  void append(const std::string& name, const ByteBuffer& data) override;
-
- private:
-  ObjectStore* inner_;
-  mutable std::mutex mutex_;
+  mutable std::shared_mutex mutex_;
+  std::map<std::string, ByteBuffer> objects_;  // guarded by mutex_
 };
 
 /// Latency-injecting decorator: every read sleeps for a fixed wall-clock
 /// delay before delegating. The live counterpart of SimulatedStore for
 /// load-bound experiments — with it, a runtime configuration is I/O-bound
-/// by construction, which is what the prefetch-pipeline head-to-head in
-/// bench_micro needs. Thread-safe iff the wrapped store is.
+/// while every I/O lane is busy, which is what the prefetch-pipeline
+/// head-to-head in bench_micro needs. Concurrent reads sleep side by side,
+/// like requests in flight at one server. Thread-safe iff the wrapped
+/// store is.
 class ThrottledStore final : public ObjectStore {
  public:
   ThrottledStore(ObjectStore& inner, std::uint64_t read_latency_us)
@@ -135,7 +142,10 @@ class TransientStoreError : public std::runtime_error {
 /// that times out intermittently but eventually serves every object.
 /// Consecutive injected failures per object are capped, so a bounded
 /// retry budget always wins; exists/size_of/list are never perturbed
-/// (membership queries are assumed cached/cheap). Thread-safe.
+/// (membership queries are assumed cached/cheap). Thread-safe. The draws
+/// follow call order, which depends on how reads land on I/O lanes even
+/// on one node, so which reads fail varies run to run; the per-object
+/// consecutive cap still bounds every failure streak.
 class FlakyStore final : public ObjectStore {
  public:
   struct Config {
@@ -169,7 +179,7 @@ class FlakyStore final : public ObjectStore {
 
  private:
   /// Deterministic Bernoulli draw: hashes a per-store sequence number, so
-  /// the fault pattern depends only on (seed, call order), not wall time.
+  /// the n-th draw depends only on (seed, n), not wall time.
   bool roll(double rate);
 
   ObjectStore* inner_;
@@ -181,7 +191,8 @@ class FlakyStore final : public ObjectStore {
   std::map<std::string, std::uint32_t> consecutive_;  // guarded by mutex_
 };
 
-/// Real files rooted at a directory.
+/// Real files rooted at a directory. Each read opens its own stream, so
+/// reads need no lock.
 class DirectoryStore final : public ObjectStore {
  public:
   explicit DirectoryStore(std::string root);

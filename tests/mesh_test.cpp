@@ -16,6 +16,7 @@
 #include "mesh/live_cluster.hpp"
 #include "mesh/mesh_node.hpp"
 #include "mesh/transport.hpp"
+#include "read_overlap_store.hpp"
 #include "runtime/node_runtime.hpp"
 
 namespace rocket::mesh {
@@ -353,6 +354,37 @@ TEST(LiveCluster, FourNodeForensicsMatchesSingleNodeExactly) {
       EXPECT_EQ(mirrored, 0u);
     }
   }
+}
+
+TEST(LiveCluster, NodesReadTheSharedStoreConcurrently) {
+  // Every node reads the caller's store directly, with no mesh-wide lock:
+  // while the first read waits, another read starts. Behind one store
+  // mutex the first read times out alone and the peak stays 1.
+  storage::MemoryStore store;
+  apps::ForensicsConfig fc;
+  fc.cameras = 3;
+  fc.images_per_camera = 4;
+  fc.width = 64;
+  fc.height = 48;
+  fc.seed = 19;
+  apps::ForensicsDataset dataset(fc, store);
+  apps::ForensicsApplication app(dataset);
+
+  const ResultMap expected = single_node_reference(app, store);
+
+  LiveClusterConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.node.devices = {gpu::titanx_maxwell()};
+  cfg.node.host_cache_capacity = 16_MiB;
+  cfg.node.cpu_threads = 2;
+  LiveCluster cluster(cfg);
+  testkit::ReadOverlapStore probe(store);
+  ResultMap actual;
+  cluster.run_all_pairs(app, probe, [&](const PairResult& r) {
+    actual[{r.left, r.right}] = r.score;
+  });
+  EXPECT_GE(probe.peak(), 2);
+  EXPECT_EQ(actual, expected);
 }
 
 TEST(LiveCluster, MultiPairTilesSendOneResultMessagePerTile) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "gpu/device_spec.hpp"
 #include "gpu/virtual_device.hpp"
@@ -94,9 +98,99 @@ TEST(MemoryStore, PutReadAndStats) {
   EXPECT_FALSE(store.exists("b.bin"));
   EXPECT_EQ(store.size_of("a.bin"), 3u);
   EXPECT_EQ(store.read("a.bin"), (ByteBuffer{1, 2, 3}));
-  EXPECT_EQ(store.stats().reads, 1u);
-  EXPECT_EQ(store.stats().bytes_read, 3u);
+  const storage::StoreStats stats = store.stats();
+  EXPECT_EQ(stats.reads, 1u);
+  EXPECT_EQ(stats.bytes_read, 3u);
   EXPECT_THROW(store.read("missing"), std::runtime_error);
+}
+
+/// Four threads read every object of `store` (retrying injected transient
+/// errors) while a fifth polls `counted.stats()` — `counted` is the store
+/// that counts reads: `store` itself, or the store a decorator wraps.
+/// Then the counts must be exact.
+void expect_exact_concurrent_reads(
+    storage::ObjectStore& store, const storage::ObjectStore& counted,
+    const std::map<std::string, ByteBuffer>& objects) {
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 20;
+  const storage::StoreStats before = counted.stats();
+  std::atomic<int> readers_left{kReaders};
+  std::atomic<int> wrong_bytes{0};
+  std::atomic<bool> counts_went_back{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (const auto& [name, bytes] : objects) {
+          for (;;) {
+            try {
+              if (store.read(name) != bytes) wrong_bytes.fetch_add(1);
+              break;
+            } catch (const storage::TransientStoreError&) {
+            }
+          }
+        }
+      }
+      readers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    std::uint64_t last = before.reads;
+    while (readers_left.load() > 0) {
+      const std::uint64_t reads = counted.stats().reads;
+      if (reads < last) counts_went_back = true;
+      last = reads;
+      std::this_thread::yield();
+    }
+  });
+  for (auto& thread : threads) thread.join();
+
+  Bytes object_bytes = 0;
+  for (const auto& [name, bytes] : objects) object_bytes += bytes.size();
+  const storage::StoreStats after = counted.stats();
+  EXPECT_EQ(wrong_bytes.load(), 0);
+  EXPECT_FALSE(counts_went_back.load());
+  EXPECT_EQ(after.reads - before.reads,
+            std::uint64_t{kReaders * kRounds} * objects.size());
+  EXPECT_EQ(after.bytes_read - before.bytes_read,
+            Bytes{kReaders * kRounds} * object_bytes);
+}
+
+TEST(ObjectStore, ConcurrentReadsCountExactly) {
+  std::map<std::string, ByteBuffer> objects;
+  for (int i = 0; i < 4; ++i) {
+    objects["obj_" + std::to_string(i)] =
+        ByteBuffer(100 + 37 * i, static_cast<std::uint8_t>(i + 1));
+  }
+  storage::MemoryStore memory;
+  storage::DirectoryStore directory(::testing::TempDir() +
+                                    "/rocket_concurrent_store_test");
+  for (const auto& [name, bytes] : objects) {
+    memory.put(name, bytes);
+    directory.put(name, bytes);
+  }
+  {
+    SCOPED_TRACE("MemoryStore");
+    expect_exact_concurrent_reads(memory, memory, objects);
+  }
+  {
+    SCOPED_TRACE("DirectoryStore");
+    expect_exact_concurrent_reads(directory, directory, objects);
+  }
+  {
+    SCOPED_TRACE("ThrottledStore");
+    storage::ThrottledStore throttled(memory, 50);
+    expect_exact_concurrent_reads(throttled, memory, objects);
+  }
+  {
+    SCOPED_TRACE("FlakyStore");
+    storage::FlakyStore::Config cfg;
+    cfg.error_rate = 0.3;
+    cfg.seed = 5;
+    storage::FlakyStore flaky(memory, cfg);
+    expect_exact_concurrent_reads(flaky, memory, objects);
+    EXPECT_GT(flaky.injected_errors(), 0u);
+  }
 }
 
 TEST(DirectoryStore, RoundTripsFiles) {

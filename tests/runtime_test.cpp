@@ -11,6 +11,7 @@
 #include "apps/bioinformatics.hpp"
 #include "apps/forensics.hpp"
 #include "apps/microscopy.hpp"
+#include "read_overlap_store.hpp"
 #include "runtime/node_runtime.hpp"
 
 namespace rocket::runtime {
@@ -412,6 +413,61 @@ TEST(NodeRuntime, MissingFileFailsPairsNotRun) {
   std::uint64_t device_sum = 0;
   for (const auto p : report.pairs_per_device) device_sum += p;
   EXPECT_EQ(device_sum, report.pairs);
+}
+
+TEST(NodeRuntime, StoreReadsOverlap) {
+  // One I/O lane per tile in flight: while the first read waits, another
+  // lane starts a second one. With a single I/O thread the first read
+  // times out alone and the peak stays 1.
+  storage::MemoryStore store;
+  apps::ForensicsConfig cfg;
+  cfg.cameras = 3;
+  cfg.images_per_camera = 4;
+  cfg.width = 64;
+  cfg.height = 48;
+  cfg.seed = 29;
+  apps::ForensicsDataset dataset(cfg, store);
+  apps::ForensicsApplication app(dataset);
+
+  const ResultMap expected = brute_force(app, store);
+
+  NodeRuntime::Config rt;
+  rt.host_cache_capacity = 16_MiB;
+  rt.cpu_threads = 2;
+  NodeRuntime runtime(rt);
+  testkit::ReadOverlapStore probe(store);
+  const ResultMap actual = collect(runtime, app, probe, nullptr);
+  EXPECT_GE(probe.peak(), 2);
+  EXPECT_EQ(actual, expected);
+}
+
+TEST(NodeRuntime, LoadLatencyTimesEveryCompletedStoreLoad) {
+  // load.latency covers store loads from I/O enqueue to completion: a
+  // load that fails (here, on the missing item) is not timed.
+  storage::MemoryStore store;
+  apps::MicroscopyConfig cfg;
+  cfg.particles = 6;
+  cfg.binding_sites = 8;
+  cfg.localizations_per_site_min = 3;
+  cfg.localizations_per_site_max = 5;
+  apps::MicroscopyDataset dataset(cfg, store);
+  apps::MicroscopyApplication app(dataset);
+  storage::MemoryStore broken;
+  for (ItemId i = 0; i < app.item_count(); ++i) {
+    if (i != 3) broken.put(app.file_name(i), store.read(app.file_name(i)));
+  }
+
+  NodeRuntime::Config rt;
+  rt.cpu_threads = 2;
+  rt.host_cache_capacity = 1_MiB;
+  NodeRuntime runtime(rt);
+  NodeRuntime::Report report;
+  collect(runtime, app, broken, &report);
+  const auto* latency = report.metrics.histogram("load.latency");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_GT(report.failed_loads, 0u);
+  EXPECT_GT(latency->count, 0u);
+  EXPECT_EQ(latency->count, report.loads - report.failed_loads);
 }
 
 TEST(NodeRuntime, ProfilerTraceWhenEnabled) {

@@ -206,8 +206,9 @@ TEST(LiveCluster, StreamsClusterSnapshotsMidRun) {
   apps::ForensicsDataset dataset(fc, mem);
   apps::ForensicsApplication app(dataset);
   // Throttle the store so the run comfortably spans several snapshot
-  // intervals on any CI machine.
-  storage::ThrottledStore store(mem, 2000);
+  // intervals on any CI machine. Each node overlaps its reads (one I/O
+  // lane per tile in flight), so one read's latency must span them.
+  storage::ThrottledStore store(mem, 12000);
 
   mesh::LiveClusterConfig cfg;
   cfg.num_nodes = 2;
