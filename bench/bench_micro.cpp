@@ -5,9 +5,9 @@
 //
 // After the registered benchmarks, main() measures the live runtime's
 // tile-batched throughput on a cache-friendly workload, MpmcQueue
-// single-op vs bulk-op throughput, the mesh peer-fetch path vs the storage
-// load it replaces, the look-ahead prefetch pipeline vs today's schedule
-// on a load-bound workload, and the leaf-traversal orders' load counts,
+// single-op vs bulk-drain throughput, the mesh peer-fetch path vs the
+// storage load it replaces, 8 tiles in flight vs 1 on a load-bound
+// workload (the prefetch row), and the leaf-traversal orders' load counts,
 // and writes the numbers to BENCH_micro.json (machine-readable, for the
 // perf trajectory; CI gates prefetch >= off and hilbert < row-major).
 
@@ -155,18 +155,16 @@ void BM_QueueSinglePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_QueueSinglePushPop);
 
-void BM_QueueBulkPushPop(benchmark::State& state) {
+void BM_QueuePushDrain(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   MpmcQueue<int> q;
-  std::vector<int> in;
   for (auto _ : state) {
-    in.assign(batch, 1);
-    q.push_bulk(in);
+    for (std::size_t i = 0; i < batch; ++i) q.push(1);
     benchmark::DoNotOptimize(q.pop_bulk(batch));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch));
 }
-BENCHMARK(BM_QueueBulkPushPop)->Arg(16)->Arg(64);
+BENCHMARK(BM_QueuePushDrain)->Arg(16)->Arg(64);
 
 sim::Process ping(sim::Simulation&, int hops) {
   for (int i = 0; i < hops; ++i) {
@@ -279,7 +277,7 @@ ModeResult run_mode(const runtime::Application& app,
 
 struct QueueThroughput {
   double single_ops_per_sec = 0.0;
-  double bulk_ops_per_sec = 0.0;
+  double push_drain_ops_per_sec = 0.0;
 };
 
 QueueThroughput measure_queue_throughput() {
@@ -298,16 +296,15 @@ QueueThroughput measure_queue_throughput() {
     out.single_ops_per_sec = kOps / secs;
   }
   {
+    // Single pushes drained in batches, as the runtime's worker queues run.
     MpmcQueue<int> q;
-    std::vector<int> in;
     const auto t0 = Clock::now();
     for (int i = 0; i < kOps; i += static_cast<int>(kBatch)) {
-      in.assign(kBatch, i);
-      q.push_bulk(in);
+      for (std::size_t k = 0; k < kBatch; ++k) q.push(i);
       benchmark::DoNotOptimize(q.pop_bulk(kBatch));
     }
     const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
-    out.bulk_ops_per_sec = kOps / secs;
+    out.push_drain_ops_per_sec = kOps / secs;
   }
   return out;
 }
@@ -506,7 +503,7 @@ ContentionResult measure_cache_contention(unsigned nthreads) {
   return out;
 }
 
-// --- prefetch pipeline + traversal order ----------------------------------
+// --- tiles in flight (prefetch) + traversal order -------------------------
 
 struct PrefetchVariant {
   double pairs_per_sec = 0.0;
@@ -517,18 +514,17 @@ struct PrefetchVariant {
 };
 
 struct PrefetchResult {
-  PrefetchVariant off;  // prefetch_tiles = 0 — today's schedule
-  PrefetchVariant on;   // prefetch_tiles = 7 — look-ahead pipeline
+  PrefetchVariant off;  // job limit 1: loads and kernels alternate
+  PrefetchVariant on;   // job limit 8: later tiles load while one computes
   double speedup = 0.0;
 };
 
 /// Shared load-bound runtime configuration: device cache half the item
 /// population, host cache off, every miss pays the throttled store's
-/// 250 us latency on an I/O lane (one lane per tile in flight: one
-/// without a window, 1 + W with one), and ONE compute slot per device
-/// (job_limit 1) so without a prefetch window loads and kernels strictly
-/// alternate. Compute passes are tuned so kernel time roughly
-/// balances load time — the regime where overlap pays.
+/// 250 us latency on an I/O lane (one lane per tile in flight), and ONE
+/// tile in flight per device (job_limit 1), so loads and kernels strictly
+/// alternate. Compute passes are tuned so kernel time roughly balances
+/// load time — the regime where overlap pays.
 runtime::NodeRuntime::Config load_bound_config() {
   runtime::NodeRuntime::Config cfg;
   cfg.devices = {gpu::titanx_maxwell()};
@@ -545,14 +541,16 @@ runtime::NodeRuntime::Config load_bound_config() {
 constexpr std::uint32_t kPrefetchItems = 128;
 constexpr int kPrefetchComparePasses = 50;
 constexpr std::uint64_t kStoreLatencyUs = 250;
-constexpr std::uint32_t kPrefetchWindow = 7;
+/// Tiles in flight of the `on` variant: 8 tiles share the 64-slot cache
+/// (a working-set budget of 8 items each) and run 8 I/O lanes.
+constexpr std::uint32_t kPrefetchJobLimit = 8;
 
-PrefetchVariant run_prefetch_variant(std::uint32_t window) {
+PrefetchVariant run_prefetch_variant(std::uint32_t job_limit) {
   storage::MemoryStore mem;
   SyntheticApp app(kPrefetchItems, mem, kPrefetchComparePasses);
   storage::ThrottledStore store(mem, kStoreLatencyUs);
   auto cfg = load_bound_config();
-  cfg.prefetch_tiles = window;
+  cfg.job_limit_per_worker = job_limit;
   runtime::NodeRuntime rt(cfg);
   const auto report = rt.run(app, store, [](const runtime::PairResult&) {});
   PrefetchVariant out;
@@ -567,19 +565,19 @@ PrefetchVariant run_prefetch_variant(std::uint32_t window) {
   return out;
 }
 
-/// Head-to-head of the look-ahead pipeline against today's schedule on a
-/// load-bound workload. Best of two trials per variant (the CI gate
-/// compares the numbers directly and a single trial is at the scheduler's
-/// mercy); the kept trial's stall/hit counters travel with it.
+/// Head-to-head of 8 tiles in flight against 1 on a load-bound workload.
+/// Best of two trials per variant (the CI gate compares the numbers
+/// directly and a single trial is at the scheduler's mercy); the kept
+/// trial's stall/hit counters travel with it.
 PrefetchResult measure_prefetch_overlap() {
-  const auto best_of_two = [](std::uint32_t window) {
-    const PrefetchVariant first = run_prefetch_variant(window);
-    const PrefetchVariant second = run_prefetch_variant(window);
+  const auto best_of_two = [](std::uint32_t job_limit) {
+    const PrefetchVariant first = run_prefetch_variant(job_limit);
+    const PrefetchVariant second = run_prefetch_variant(job_limit);
     return first.pairs_per_sec >= second.pairs_per_sec ? first : second;
   };
   PrefetchResult out;
-  out.off = best_of_two(0);
-  out.on = best_of_two(kPrefetchWindow);
+  out.off = best_of_two(1);
+  out.on = best_of_two(kPrefetchJobLimit);
   out.speedup = out.off.pairs_per_sec > 0
                     ? out.on.pairs_per_sec / out.off.pairs_per_sec
                     : 0.0;
@@ -740,9 +738,9 @@ void run_measurements_and_emit_json() {
   std::printf("tile-batched: %12.0f pairs/s  (loads=%" PRIu64
               ", tiles=%" PRIu64 ")\n",
               tiled.pairs_per_sec, tiled.loads, tiled.tiles);
-  std::printf("queue: single %.0f ops/s, bulk(64) %.0f ops/s (%.2fx)\n",
-              queue.single_ops_per_sec, queue.bulk_ops_per_sec,
-              queue.bulk_ops_per_sec / queue.single_ops_per_sec);
+  std::printf("queue: single %.0f ops/s, push+drain(64) %.0f ops/s (%.2fx)\n",
+              queue.single_ops_per_sec, queue.push_drain_ops_per_sec,
+              queue.push_drain_ops_per_sec / queue.single_ops_per_sec);
   std::printf("peer fetch: %.1f us vs storage load %.1f us (%.2fx)\n",
               peer.peer_fetch_us, peer.storage_load_us,
               peer.peer_fetch_us > 0
@@ -756,11 +754,11 @@ void run_measurements_and_emit_json() {
         c.speedup);
   }
   std::printf(
-      "prefetch pipeline (load-bound, %u us store): off %.0f pairs/s "
-      "stall %.3fs | on(W=%u) %.0f pairs/s stall %.3fs, %" PRIu64
+      "prefetch pipeline (load-bound, %u us store): job limit 1 %.0f "
+      "pairs/s stall %.3fs | job limit %u %.0f pairs/s stall %.3fs, %" PRIu64
       " prefetch hits (%.2fx)\n",
       static_cast<unsigned>(kStoreLatencyUs), prefetch.off.pairs_per_sec,
-      prefetch.off.stall_seconds, kPrefetchWindow,
+      prefetch.off.stall_seconds, kPrefetchJobLimit,
       prefetch.on.pairs_per_sec, prefetch.on.stall_seconds,
       prefetch.on.prefetch_hits, prefetch.speedup);
   std::printf(
@@ -794,8 +792,8 @@ void run_measurements_and_emit_json() {
                tiled.tiles);
   std::fprintf(f,
                "  \"queue\": {\"single_ops_per_sec\": %.1f, "
-               "\"bulk_ops_per_sec\": %.1f, \"bulk_batch\": 64},\n",
-               queue.single_ops_per_sec, queue.bulk_ops_per_sec);
+               "\"push_drain_ops_per_sec\": %.1f, \"drain_batch\": 64},\n",
+               queue.single_ops_per_sec, queue.push_drain_ops_per_sec);
   std::fprintf(f,
                "  \"peer_fetch\": {\"fetch_us\": %.2f, "
                "\"storage_load_us\": %.2f, \"speedup\": %.3f},\n",
@@ -805,7 +803,7 @@ void run_measurements_and_emit_json() {
                    : 0.0);
   std::fprintf(
       f,
-      "  \"prefetch\": {\"store_latency_us\": %u, \"window\": %u,\n"
+      "  \"prefetch\": {\"store_latency_us\": %u, \"on_job_limit\": %u,\n"
       "    \"off\": {\"pairs_per_sec\": %.1f, \"wall_seconds\": %.6f, "
       "\"stall_seconds\": %.6f, \"prefetch_hits\": %" PRIu64
       ", \"loads\": %" PRIu64 "},\n"
@@ -813,7 +811,7 @@ void run_measurements_and_emit_json() {
       "\"stall_seconds\": %.6f, \"prefetch_hits\": %" PRIu64
       ", \"loads\": %" PRIu64 "},\n"
       "    \"speedup\": %.3f},\n",
-      static_cast<unsigned>(kStoreLatencyUs), kPrefetchWindow,
+      static_cast<unsigned>(kStoreLatencyUs), kPrefetchJobLimit,
       prefetch.off.pairs_per_sec,
       prefetch.off.wall_seconds, prefetch.off.stall_seconds,
       prefetch.off.prefetch_hits, prefetch.off.loads,

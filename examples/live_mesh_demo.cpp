@@ -9,7 +9,6 @@
 //
 //   $ ./live_mesh_demo [--nodes 4] [--cameras 4] [--images 8]
 //                      [--cache-shards 0]   (0 = auto: min(16, hw threads))
-//                      [--prefetch 0]       (look-ahead tiles per device)
 //                      [--kill-node N]      (chaos: kill node N mid-run;
 //                                            N >= 1, or 0 == --kill-master)
 //                      [--kill-master]      (chaos: kill node 0 mid-run; the
@@ -79,6 +78,7 @@
 #include "common/options.hpp"
 #include "common/table.hpp"
 #include "apps/forensics.hpp"
+#include "mesh/checkpoint.hpp"
 #include "rocket/rocket.hpp"
 #include "telemetry/run_summary.hpp"
 #include "telemetry/trace.hpp"
@@ -166,8 +166,6 @@ int main(int argc, char** argv) {
   mesh_cfg.node.cpu_threads = 2;
   mesh_cfg.node.cache_shards =
       static_cast<std::uint32_t>(opts.get_int("cache-shards", 0));
-  mesh_cfg.node.prefetch_tiles =
-      static_cast<std::uint32_t>(opts.get_int("prefetch", 0));
 
   // Telemetry surfaces (DESIGN.md §13).
   const bool live_stats = opts.get_bool("live-stats", false);
@@ -211,7 +209,7 @@ int main(int argc, char** argv) {
     mesh_cfg.checkpoint_store = checkpoint_store.get();
     mesh_cfg.resume = opts.get_bool("resume", false);
     std::printf("journal: %s/%s%s\n", checkpoint_dir.c_str(),
-                mesh_cfg.checkpoint_name.c_str(),
+                rocket::mesh::checkpoint::kJournalName,
                 mesh_cfg.resume ? " (resuming)" : "");
   } else if (opts.get_bool("resume", false)) {
     std::printf("--resume needs --checkpoint-dir\n");
@@ -332,8 +330,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < report.nodes.size(); ++i) {
     const auto& nr = report.nodes[i];
     // Transfer/compute overlap detail (§4.3): GPU busy share of the wall
-    // clock, the load-stall remainder, and the tiles whose loads the
-    // prefetch window fully hid behind kernels.
+    // clock, the load-stall remainder, and the tiles whose loads other
+    // tiles' kernels fully hid.
     double busy = 0.0, stall = 0.0;
     for (const double b : nr.device_busy_seconds) busy += b;
     for (const double s : nr.device_stall_seconds) stall += s;
@@ -408,10 +406,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.host_cache.evictions),
               static_cast<unsigned long long>(report.cache_fast_hits));
   std::printf("overlap: %.3fs device load-stall across the cluster, "
-              "%llu prefetch hits (prefetch window: %u tiles/device)\n",
+              "%llu prefetch hits (tiles loaded behind another tile's "
+              "compute)\n",
               report.stall_seconds,
-              static_cast<unsigned long long>(report.prefetch_hits),
-              mesh_cfg.node.prefetch_tiles);
+              static_cast<unsigned long long>(report.prefetch_hits));
   if (report.node_deaths > 0) {
     std::printf("failover: %llu node death(s), %llu regions re-executed, "
                 "%llu duplicate results dropped, %llu fetch retries\n",

@@ -52,7 +52,6 @@ class ShardedSlotCache {
   using Outcome = SlotCache::Outcome;
   using Callback = SlotCache::Callback;
   using BatchCallback = SlotCache::BatchCallback;
-  using AllocPriority = SlotCache::AllocPriority;
 
   struct Config {
     std::uint32_t num_slots = 0;  // total, distributed over the shards
@@ -76,8 +75,7 @@ class ShardedSlotCache {
   /// `cb` from inside a later publish/abort/release **with that shard's
   /// mutex held** — defer before re-entering the cache, exactly as with
   /// the externally-locked SlotCache.
-  Grant acquire(ItemId item, Callback cb,
-                AllocPriority priority = AllocPriority::kDemand);
+  Grant acquire(ItemId item, Callback cb);
 
   /// Batched acquire of a tile's working set: the lock-free fast path is
   /// tried per item first, then the remaining items are grouped by shard
@@ -86,9 +84,7 @@ class ShardedSlotCache {
   /// shard locks at once — trivially deadlock-free). Grants are
   /// index-aligned with `items`.
   std::vector<Grant> acquire_batch(const std::vector<ItemId>& items,
-                                   BatchCallback cb,
-                                   AllocPriority priority =
-                                       AllocPriority::kDemand);
+                                   BatchCallback cb);
 
   void publish(SlotId slot);
   void abort(SlotId slot);

@@ -74,8 +74,7 @@ SlotId SlotCache::allocate_for(ItemId item) {
   return victim;
 }
 
-SlotCache::Grant SlotCache::acquire(ItemId item, Callback cb,
-                                    AllocPriority priority) {
+SlotCache::Grant SlotCache::acquire(ItemId item, Callback cb) {
   const auto it = index_.find(item);
   if (it != index_.end()) {
     Slot& slot = slots_[it->second];
@@ -102,13 +101,12 @@ SlotCache::Grant SlotCache::acquire(ItemId item, Callback cb,
   }
   ++stats_.alloc_stalls;
   trace("acquire-stall", item, kInvalidSlot);
-  pending_.push_back(PendingAlloc{item, std::move(cb), priority});
+  pending_.push_back(PendingAlloc{item, std::move(cb)});
   return Grant{Outcome::kQueued, kInvalidSlot};
 }
 
 std::vector<SlotCache::Grant> SlotCache::acquire_batch(
-    const std::vector<ItemId>& items, BatchCallback cb,
-    AllocPriority priority) {
+    const std::vector<ItemId>& items, BatchCallback cb) {
   std::vector<Grant> grants;
   grants.reserve(items.size());
   // Shared so only queued entries pay for a callback copy; hits and fills
@@ -120,7 +118,7 @@ std::vector<SlotCache::Grant> SlotCache::acquire_batch(
     if (shared_cb) {
       entry_cb = [shared_cb, k](Grant g) { (*shared_cb)(k, g); };
     }
-    grants.push_back(acquire(items[k], std::move(entry_cb), priority));
+    grants.push_back(acquire(items[k], std::move(entry_cb)));
   }
   return grants;
 }
@@ -190,13 +188,6 @@ void SlotCache::drain_pending() {
   // we detach the queue first and splice unserved requests back in front.
   std::vector<PendingAlloc> queue = std::move(pending_);
   pending_.clear();
-  // Demand allocations outrank prefetch ones (AllocPriority): a look-ahead
-  // tile must never absorb the slot a compute tile is stalled on. Stable,
-  // so each class stays FIFO — and an all-demand queue (the default) is
-  // bit-identical to the historical single-class drain.
-  std::stable_partition(queue.begin(), queue.end(), [](const PendingAlloc& p) {
-    return p.priority == AllocPriority::kDemand;
-  });
   std::vector<PendingAlloc> unserved;
   for (auto& req : queue) {
     const auto it = index_.find(req.item);

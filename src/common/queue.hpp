@@ -5,8 +5,8 @@
 // producer/consumer paths in Rocket move pointers or small closures, so a
 // lock-based MPMC queue is entirely adequate; lock-free structures are
 // reserved for the work-stealing deque where contention patterns demand it.
-// Bulk push/pop amortise the lock + notify cost when the tile-batched
-// execution path moves whole groups of tasks at once (see DESIGN.md §6).
+// Bulk pop amortises the lock cost for consumers that drain short tasks in
+// batches (see DESIGN.md §6).
 
 #include <algorithm>
 #include <atomic>
@@ -32,24 +32,6 @@ class MpmcQueue {
       items_.push_back(std::move(value));
     }
     cv_.notify_one();
-  }
-
-  /// Push every element of `values` under one lock acquisition and one
-  /// notification sweep; `values` is left empty. One queue hop instead of
-  /// values.size() of them.
-  void push_bulk(std::vector<T>& values) {
-    if (values.empty()) return;
-    const std::size_t n = values.size();
-    {
-      std::scoped_lock lock(mutex_);
-      for (auto& value : values) items_.push_back(std::move(value));
-    }
-    values.clear();
-    if (n == 1) {
-      cv_.notify_one();
-    } else {
-      cv_.notify_all();
-    }
   }
 
   /// Blocking pop; returns nullopt only once the queue is closed and empty.

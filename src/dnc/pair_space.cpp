@@ -141,10 +141,14 @@ std::uint64_t hilbert_index(std::uint32_t bits, std::uint32_t x,
 
 }  // namespace
 
-std::vector<Region> leaves(const Region& root, PairCount max_leaf_pairs,
-                           Traversal order) {
+std::vector<Region> leaves(const std::vector<Region>& roots,
+                           PairCount max_leaf_pairs, Traversal order) {
   std::vector<Region> out;
-  collect_leaves(root, std::max<PairCount>(1, max_leaf_pairs), out);
+  ItemIndex extent = 0;
+  for (const Region& root : roots) {
+    collect_leaves(root, std::max<PairCount>(1, max_leaf_pairs), out);
+    extent = std::max({extent, root.row_end, root.col_end});
+  }
   switch (order) {
     case Traversal::kDepthFirst:
       break;
@@ -156,8 +160,7 @@ std::vector<Region> leaves(const Region& root, PairCount max_leaf_pairs,
       break;
     case Traversal::kMorton:
     case Traversal::kHilbert: {
-      const std::uint32_t bits =
-          bits_for(std::max(root.row_end, root.col_end));
+      const std::uint32_t bits = bits_for(extent);
       // Decorated sort: one curve-key computation per leaf, not per
       // comparison (the key loops over coordinate bits).
       std::vector<std::pair<std::uint64_t, Region>> keyed;

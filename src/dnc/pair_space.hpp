@@ -117,11 +117,14 @@ enum class Traversal : std::uint8_t {
   kRowMajor,
 };
 
-/// Decompose `root` into leaves of at most `max_leaf_pairs` pairs (the
-/// exact leaf set the executor's depth-first descent produces) and return
-/// them in the given traversal order. The leaf *set* is order-invariant;
-/// only the sequence changes.
-std::vector<Region> leaves(const Region& root, PairCount max_leaf_pairs,
+/// Decompose every region of `roots` into leaves of at most
+/// `max_leaf_pairs` pairs (the exact leaf set the executor's depth-first
+/// descent produces) and return them in the given traversal order. The
+/// leaf *set* is order-invariant; only the sequence changes. kDepthFirst
+/// keeps the roots' order; the sorted orders rank all leaves together on
+/// one grid spanning every root.
+std::vector<Region> leaves(const std::vector<Region>& roots,
+                           PairCount max_leaf_pairs,
                            Traversal order = Traversal::kDepthFirst);
 
 /// Cold-item cost of executing `leaves` in sequence with a cache that

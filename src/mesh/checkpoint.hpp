@@ -59,6 +59,9 @@ struct Replay {
   bool torn = false;          // trailing bytes past valid_bytes exist
 };
 
+/// Object name of a LiveCluster run's journal in its checkpoint store.
+inline constexpr const char* kJournalName = "rocket.journal";
+
 class Journal {
  public:
   static constexpr std::uint8_t kManifest = 1;

@@ -64,18 +64,18 @@ LiveCluster::Report LiveCluster::run_all_pairs(
     manifest.fingerprint = checkpoint::Journal::fingerprint(
         n, p, kPartitionGranularity, config_.node.seed);
     journal = std::make_unique<checkpoint::Journal>(
-        *config_.checkpoint_store, config_.checkpoint_name);
+        *config_.checkpoint_store, checkpoint::kJournalName);
     bool fresh = true;
     if (config_.resume) {
       const auto replay = checkpoint::Journal::replay(
-          *config_.checkpoint_store, config_.checkpoint_name);
+          *config_.checkpoint_store, checkpoint::kJournalName);
       if (replay.found && replay.has_manifest &&
           replay.manifest.fingerprint == manifest.fingerprint) {
         ck.torn_tail = replay.torn;
         if (replay.torn) {
           // Cut the tear so this run appends from a record boundary.
           checkpoint::Journal::truncate_to_valid(
-              *config_.checkpoint_store, config_.checkpoint_name, replay);
+              *config_.checkpoint_store, checkpoint::kJournalName, replay);
         }
         ck.resumed = true;
         ck.records_replayed = replay.records;
@@ -141,11 +141,11 @@ LiveCluster::Report LiveCluster::run_all_pairs(
   // meshes the master additionally runs the failure model (DESIGN.md §12):
   // the initial partition seeds its re-execution ledger, victims report
   // steal transfers, and heartbeat leases feed its failure detector.
-  // Per-node discrete-event streams (steals, deaths, re-grants, parks):
-  // shared by each node's mesh layer and engine, drained into the trace
-  // after the mesh joins (failover events can land after the engine has
-  // already assembled its report). Declared before `meshes` so the logs
-  // outlive the service threads that record into them.
+  // Per-node discrete-event streams (steals, deaths, re-grants), written
+  // by each node's mesh layer and drained into the trace after the mesh
+  // joins (failover events can land after the engine has already
+  // assembled its report). Declared before `meshes` so the logs outlive
+  // the service threads that record into them.
   std::vector<std::unique_ptr<telemetry::EventLog>> event_logs(p);
   for (auto& log : event_logs) {
     log = std::make_unique<telemetry::EventLog>();
@@ -277,7 +277,6 @@ LiveCluster::Report LiveCluster::run_all_pairs(
     node_threads.emplace_back([&, id] {
       try {
         runtime::NodeRuntime::Config ncfg = config_.node;
-        ncfg.event_log = event_logs[id].get();
         ncfg.span_log = span_logs[id].get();
         ncfg.trace_sample_n = config_.trace_sample_n;
         // Grey-failure straggler injection: the designated slow node runs
@@ -427,13 +426,13 @@ LiveCluster::Report LiveCluster::run_all_pairs(
     report.metrics += node_reports[id].metrics;
     report.metrics += meshes[id]->metrics_snapshot();
     report.node_traffic.push_back(transport.node_counters(id));
-    // Re-drain the shared event log: the engine's report copy predates
-    // mesh teardown, and failover events (death verdicts, re-grants) can
-    // land on service threads after the engine has drained.
+    // Drain the node's event log only now: failover events (death
+    // verdicts, re-grants) can land on service threads after the engine
+    // has assembled its report.
     if (config_.node.trace) {
       node_reports[id].trace.events = event_logs[id]->events();
     }
-    // Same staleness rule for causal spans: mesh-side closes (steal
+    // Re-read causal spans for the same reason: mesh-side closes (steal
     // serves, the abort sweep above) post-date the engine's copy.
     if (config_.node.trace && span_logs[id] != nullptr) {
       node_reports[id].trace.causal_spans = span_logs[id]->records();

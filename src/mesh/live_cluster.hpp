@@ -41,7 +41,7 @@ struct LiveClusterConfig {
   std::uint32_t num_nodes = 2;
 
   /// Per-node runtime configuration, replicated across nodes (devices,
-  /// caches, prefetch window, ...).
+  /// caches, job limit, ...).
   runtime::NodeRuntime::Config node{};
 
   /// Third-level (distributed) cache on/off and its hop limit h (§4.1.3).
@@ -123,10 +123,9 @@ struct LiveClusterConfig {
 
   /// Write-ahead run journal target. Non-null enables journalling: the
   /// master appends a manifest, flushed result batches and completed
-  /// regions through this store (must support_write()). Null disables
-  /// the whole checkpoint path.
+  /// regions through this store (must support_write()), as the object
+  /// checkpoint::kJournalName. Null disables the whole checkpoint path.
   storage::ObjectStore* checkpoint_store = nullptr;
-  std::string checkpoint_name = "rocket.journal";
 
   /// Replay an existing journal before running: already-delivered pairs
   /// are NOT re-delivered, only the remaining frontier executes. A
@@ -201,10 +200,9 @@ struct LiveClusterReport {
   PeerCacheStats peer_cache;        // aggregated requester-side chain stats
   cache::CacheStats host_cache;     // merged over all nodes' cache shards
   std::uint64_t cache_fast_hits = 0;  // lock-free fast-path pins, all nodes
-  /// Tiles whose loads fully overlapped computation, all nodes (the
-  /// prefetch pipeline's hit count; peer fetches prefetched ahead of need
-  /// count exactly like store loads — the window drives the same load
-  /// pipeline).
+  /// Tiles whose loads fully overlapped computation, all nodes: each
+  /// resolved its working set, peer fetches included, while another tile
+  /// of its device waited for or ran its compare task.
   std::uint64_t prefetch_hits = 0;
   double stall_seconds = 0.0;  // summed device load-stall time, all nodes
 

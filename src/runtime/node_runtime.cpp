@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <limits>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -23,7 +21,6 @@ namespace {
 using Task = std::function<void()>;
 using Grant = cache::SlotCache::Grant;
 using Outcome = cache::SlotCache::Outcome;
-using AllocPriority = cache::SlotCache::AllocPriority;
 
 /// Batch size for worker drains: one lock acquisition hands a worker up to
 /// this many tasks (tasks are short; larger batches only add latency).
@@ -99,26 +96,17 @@ struct DeviceState {
   MpmcQueue<Task> gpu_q, h2d_q, d2h_q;
   std::size_t gpu_lane = 0, h2d_lane = 0, d2h_lane = 0;
   double stretch = 0.0;  // extra sleep per kernel second (heterogeneity)
-  /// Max distinct items one tile may pin; sized so that (tiles in flight,
-  /// compute + prefetch) × (working set per tile) never exceeds the slot
-  /// count — the invariant that makes batched pinning deadlock-free.
+  /// Max distinct items one tile may pin; sized so that (tiles in flight)
+  /// × (working set per tile) never exceeds the slot count — the
+  /// invariant that makes batched pinning deadlock-free.
   std::uint32_t tile_ws_budget = 2;
   std::atomic<std::uint64_t> pairs{0};
-
-  /// Compute gate of the prefetch pipeline: at most `compute_limit` tiles
-  /// may occupy the GPU compare stage; resolved tiles beyond that wait in
-  /// `ready_tiles` and are launched by the finishing tile's GPU task — the
-  /// handoff never round-trips through the executor. With prefetch off,
-  /// tiles in flight never exceed the token supply and the gate is
-  /// pass-through (identical schedule). Tokens are released by the GPU
-  /// task itself, so they always cycle and the gate cannot wedge.
-  std::mutex gate_mutex;
-  std::deque<TileJob*> ready_tiles;  // guarded by gate_mutex
-  std::uint32_t compute_tokens = 0;  // guarded by gate_mutex
-  std::uint32_t compute_limit = 0;
-  /// Tiles in flight on this device; admissions beyond compute_limit are
-  /// the prefetch lane (their cache allocations yield to compute tiles').
+  /// Tiles admitted on this device and not yet finished.
   std::atomic<std::uint32_t> in_flight{0};
+  /// Tiles whose compare task is queued or running on this device. A tile
+  /// whose working set resolves while this is non-zero had its loads
+  /// overlapped by another tile's compute (Report::prefetch_hits).
+  std::atomic<std::uint32_t> computing{0};
 
   DeviceState(int ordinal, const gpu::DeviceSpec& spec)
       : vdev(ordinal, spec) {}
@@ -208,7 +196,7 @@ struct Engine {
          const NodeRuntime::BatchFn& batch_fn)
       : cfg(config), app(application), store(object_store),
         on_batch(batch_fn),
-        profiler(config.trace, config.max_spans_per_lane),
+        profiler(config.trace),
         metrics(config.telemetry) {
     if (!config.telemetry) profiler.set_enabled(false);
     load_error_budget.store(
@@ -236,7 +224,7 @@ struct Engine {
   }
 
   LoadOp* make_load(DeviceState& dev, ItemId item, cache::SlotId dslot,
-                    TileJob* tile, AllocPriority prio);
+                    TileJob* tile);
   void recycle_load(LoadOp* op);
 };
 
@@ -257,9 +245,6 @@ struct LoadOp {
   /// Stamped when the load is queued for the store (run_load); zero for
   /// host hits and peer loads, which load.latency does not time.
   Profiler::Clock::time_point t_store{};
-  /// Allocation class inherited from the requesting tile: a prefetch
-  /// tile's host-cache allocations also yield to compute tiles'.
-  AllocPriority prio = AllocPriority::kDemand;
   ByteBuffer file;
   HostBuffer parsed;
 };
@@ -269,7 +254,7 @@ Engine::~Engine() {
 }
 
 LoadOp* Engine::make_load(DeviceState& dev, ItemId item, cache::SlotId dslot,
-                          TileJob* tile, AllocPriority prio) {
+                          TileJob* tile) {
   LoadOp* op = load_pool.try_pop();
   if (op == nullptr) op = new LoadOp();
   op->eng = this;
@@ -280,7 +265,6 @@ LoadOp* Engine::make_load(DeviceState& dev, ItemId item, cache::SlotId dslot,
   op->hslot = cache::kInvalidSlot;
   op->host_retries = 0;
   op->t_store = {};
-  op->prio = prio;
   op->file.clear();
   op->parsed.clear();
   loads_inflight->add(1);
@@ -500,7 +484,7 @@ void begin_fill(LoadOp* op) {
             std::chrono::duration<double>(Profiler::Clock::now() - t_acquire)
                 .count());
         op->eng->post_control([op, g] { handle_host_grant(op, g); });
-      }, op->prio);
+      });
   if (grant.outcome != Outcome::kQueued) handle_host_grant(op, grant);
 }
 
@@ -614,10 +598,6 @@ struct TileJob {
   Engine& eng;
   DeviceState& dev;
   std::uint32_t worker;
-  /// Admitted beyond the device's compute budget (the look-ahead window):
-  /// this tile exists to drive loads early, so its cache allocations
-  /// yield to compute-lane tiles' (AllocPriority::kPrefetch).
-  bool prefetch_lane = false;
   dnc::Region region;
   std::uint64_t pair_count;
   std::vector<ItemId> items;             // sorted distinct working set
@@ -632,16 +612,16 @@ struct TileJob {
   Profiler::Clock::time_point t_submit_;
   /// Sampled causal trace of this tile (DESIGN.md §16). Unsampled tiles
   /// carry a zero context and every instrumentation site below exits on
-  /// one branch. t_park < 0 means the tile never waited at the gate.
+  /// one branch. t_park < 0 means the tile's compare never waited behind
+  /// another tile's.
   telemetry::SpanContext trace_ctx;
   double t_trace_submit = 0.0;
   double t_park = -1.0;
 
   TileJob(Engine& engine, DeviceState& device, std::uint32_t worker_id,
-          bool prefetch, const dnc::Region& r)
-      : eng(engine), dev(device), worker(worker_id), prefetch_lane(prefetch),
-        region(r), pair_count(dnc::count_pairs(r)),
-        items(dnc::working_set_items(r)),
+          const dnc::Region& r)
+      : eng(engine), dev(device), worker(worker_id), region(r),
+        pair_count(dnc::count_pairs(r)), items(dnc::working_set_items(r)),
         t_submit_(Profiler::Clock::now()) {
     slots.assign(items.size(), cache::kInvalidSlot);
     load_failed.assign(items.size(), 0);
@@ -659,10 +639,6 @@ struct TileJob {
   double seconds_since_submit() const {
     return std::chrono::duration<double>(Profiler::Clock::now() - t_submit_)
         .count();
-  }
-
-  AllocPriority priority() const {
-    return prefetch_lane ? AllocPriority::kPrefetch : AllocPriority::kDemand;
   }
 
   std::size_t index_of(ItemId item) const {
@@ -685,7 +661,7 @@ struct TileJob {
                                             t_acquire)
                   .count());
           eng.post_control([this, k, g] { handle_grant(k, g); });
-        }, priority());
+        });
     for (std::size_t k = 0; k < grants.size(); ++k) {
       if (grants[k].outcome != Outcome::kQueued) handle_grant(k, grants[k]);
     }
@@ -698,8 +674,7 @@ struct TileJob {
         item_done();
         return;
       case Outcome::kFill:
-        begin_fill(eng.make_load(dev, items[k], grant.slot, this,
-                                 priority()));
+        begin_fill(eng.make_load(dev, items[k], grant.slot, this));
         return;
       case Outcome::kFailed: {
         eng.acquire_retries.fetch_add(1, std::memory_order_relaxed);
@@ -734,7 +709,7 @@ struct TileJob {
                                             t_acquire)
                   .count());
           eng.post_control([this, k, g] { handle_grant(k, g); });
-        }, priority());
+        });
     if (grant.outcome != Outcome::kQueued) handle_grant(k, grant);
   }
 
@@ -752,18 +727,16 @@ struct TileJob {
   /// thread by the release/acquire pair on `remaining`.
   void item_done() {
     if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      request_compute();
+      compare_all();
     }
   }
 
-  /// The whole working set is resolved: claim a compute token and launch
-  /// the compare batch immediately, or park in the device's ready queue
-  /// until a finishing tile hands its token over. A parked tile is the
-  /// pipeline working as intended — its loads ran entirely under the
-  /// shadow of other tiles' kernels — which is what Report::prefetch_hits
-  /// counts. With prefetch off the token supply covers every tile that
-  /// can be in flight, so this is pass-through.
-  void request_compute() {
+  /// The whole working set is resolved: run every compare of the tile as
+  /// one GPU-queue task, buffering results. A tile that resolves while
+  /// another tile of its device is queued for or running its compare had
+  /// its loads overlapped by that compute; Report::prefetch_hits counts
+  /// it, and a sampled tile records the wait as compute.gate.park.
+  void compare_all() {
     eng.tile_load_wait->record_seconds(seconds_since_submit());
     if (trace_ctx.sampled()) {
       // load.wait child: submit -> whole working set resident. Overlaps
@@ -773,36 +746,18 @@ struct TileJob {
           telemetry::child_of(trace_ctx, 0x6c6f6164 /* 'load' */),
           telemetry::SpanPhase::kLoadWait, t_trace_submit, trace_now());
     }
-    {
-      std::scoped_lock lock(dev.gate_mutex);
-      if (dev.compute_tokens == 0) {
-        if (trace_ctx.sampled()) t_park = trace_now();
-        dev.ready_tiles.push_back(this);
-        eng.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-        if (eng.cfg.event_log != nullptr) {
-          eng.cfg.event_log->record(telemetry::EventKind::kPrefetchPark,
-                                    worker);
-        }
-        return;
-      }
-      --dev.compute_tokens;
+    if (dev.computing.fetch_add(1, std::memory_order_relaxed) > 0) {
+      eng.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
+      if (trace_ctx.sampled()) t_park = trace_now();
     }
-    compare_all();
-  }
-
-  /// Run every compare of the tile as one GPU-queue task, buffering
-  /// results. Caller holds a compute token; the GPU task passes it to the
-  /// next ready tile (or returns it) before handing off to postprocess,
-  /// so the compare stage back-to-backs resolved tiles with no executor
-  /// round trip.
-  void compare_all() {
     dev.gpu_q.push([this] {
       double t_compute = 0.0;
       if (trace_ctx.sampled()) {
         t_compute = trace_now();
         if (t_park >= 0.0) {
-          // compute.gate.park child: working set resident but the compute
-          // stage was full — the prefetch shadow made visible.
+          // compute.gate.park child: working set resident but another
+          // tile's compare was ahead in the queue — the overlap made
+          // visible.
           eng.cfg.span_log->record(
               telemetry::child_of(trace_ctx, 0x7061726b /* 'park' */),
               telemetry::SpanPhase::kGatePark, t_park, t_compute);
@@ -838,17 +793,7 @@ struct TileJob {
             telemetry::child_of(trace_ctx, 0x636d7074 /* 'cmpt' */),
             telemetry::SpanPhase::kCompute, t_compute, trace_now());
       }
-      TileJob* next = nullptr;
-      {
-        std::scoped_lock lock(dev.gate_mutex);
-        if (!dev.ready_tiles.empty()) {
-          next = dev.ready_tiles.front();
-          dev.ready_tiles.pop_front();
-        } else {
-          ++dev.compute_tokens;
-        }
-      }
-      if (next != nullptr) next->compare_all();  // token handed over
+      dev.computing.fetch_sub(1, std::memory_order_relaxed);
       eng.cpu_q.push(CpuTask{TaskKind::kPostprocess, [this] { finish(); }});
     });
   }
@@ -932,11 +877,10 @@ void fail_load(LoadOp* op, const char* what) {
 }
 
 /// Submit one leaf region as tile jobs, splitting further while the
-/// working set exceeds the device's per-tile budget. Back-pressure (tiles
-/// in flight, compute budget + prefetch window) is applied here, on the
-/// steal worker's thread (§4.2) — an enlarged admission budget is what
-/// lets the worker run ahead and start tiles T+1..T+W loading while tile
-/// T computes.
+/// working set exceeds the device's per-tile budget. Back-pressure (the
+/// job limit, in tiles) is applied here, on the steal worker's thread
+/// (§4.2): while the device computes one tile, the worker admits the next
+/// ones and their loads start.
 void submit_tile(Engine& eng, const dnc::Region& region,
                  std::uint32_t worker) {
   DeviceState& dev = *eng.devices[worker];
@@ -947,12 +891,8 @@ void submit_tile(Engine& eng, const dnc::Region& region,
     return;
   }
   eng.job_limits[worker]->acquire();
-  // Admissions beyond the compute budget are the look-ahead window: their
-  // allocations must not starve the tiles the device is computing from.
-  const bool prefetch =
-      dev.in_flight.fetch_add(1, std::memory_order_relaxed) >=
-      dev.compute_limit;
-  (new TileJob(eng, dev, worker, prefetch, region))->start();
+  dev.in_flight.fetch_add(1, std::memory_order_relaxed);
+  (new TileJob(eng, dev, worker, region))->start();
 }
 
 /// Non-disruptive host-cache read access served to remote requesters by
@@ -1043,16 +983,13 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
     // Deadlock-freedom with sharding (DESIGN.md §10): item hashing can in
     // the worst case land every pin of every in-flight job in ONE shard,
     // so the per-shard slot supply must cover the whole concurrent pin
-    // demand — now *compute budget + prefetch window* of in-flight tiles
-    // (DESIGN.md §11). Clamp the shard count so each shard holds at least
-    // two pins per in-flight job, then rederive the job limit, the
-    // prefetch window and the tile budget from the smallest shard instead
-    // of the whole cache.
+    // demand. Clamp the shard count so each shard holds at least two pins
+    // per in-flight job, then rederive the job limit and the tile budget
+    // from the smallest shard instead of the whole cache.
     const auto limit0 = std::min(config_.job_limit_per_worker,
                                  std::max<std::uint32_t>(1, slots / 2));
-    const std::uint32_t combined0 = limit0 + config_.prefetch_tiles;
     const std::uint32_t dev_shards = std::min(
-        shards_requested, std::max(1u, slots / std::max(2u, 2 * combined0)));
+        shards_requested, std::max(1u, slots / std::max(2u, 2 * limit0)));
     dev->cache = std::make_unique<cache::ShardedSlotCache>(
         cache::ShardedSlotCache::Config{slots, app.slot_size(), "device",
                                         dev_shards, n});
@@ -1074,24 +1011,14 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
     const auto min_shard = dev->cache->min_shard_slots();
     const auto limit =
         std::min(limit0, std::max<std::uint32_t>(1, min_shard / 2));
-    // The look-ahead window rides on whatever slot headroom remains past
-    // the compute budget; a slot-starved device degrades to window 0
-    // (prefetch off) rather than shrinking compute's share.
-    const std::uint32_t window =
-        std::min(config_.prefetch_tiles,
-                 min_shard / 2 > limit ? min_shard / 2 - limit : 0);
-    dev->compute_limit = limit;
-    dev->compute_tokens = limit;
-    // `limit + window` tiles in flight, each pinning at most
-    // min_shard/(limit+window) items: concurrent pin demand (compute +
-    // prefetch) can never exceed the slot supply of any single shard, so
-    // batched pinning cannot deadlock even if a whole working set hashes
-    // into one shard (DESIGN.md §6, §10, §11).
-    dev->tile_ws_budget =
-        std::max(2u, min_shard / std::max(1u, limit + window));
+    // `limit` tiles in flight, each pinning at most min_shard/limit items:
+    // concurrent pin demand can never exceed the slot supply of any single
+    // shard, so batched pinning cannot deadlock even if a whole working
+    // set hashes into one shard (DESIGN.md §6, §10, §11).
+    dev->tile_ws_budget = std::max(2u, min_shard / limit);
     eng.devices.push_back(std::move(dev));
-    eng.job_limits.push_back(std::make_unique<Semaphore>(limit + window));
-    tiles_in_flight += limit + window;
+    eng.job_limits.push_back(std::make_unique<Semaphore>(limit));
+    tiles_in_flight += limit;
   }
   // One I/O lane per tile the node may hold in flight: every admitted
   // tile can have a store read outstanding, so store latency overlaps
@@ -1271,7 +1198,7 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
     // Overlap accounting: a device's GPU lane is busy for its compare +
     // preprocess kernels; the remainder of the wall clock is time the
     // device sat starved of resolved tiles (load stall + scheduling
-    // slack) — the quantity the prefetch pipeline shrinks.
+    // slack) — the quantity more tiles in flight shrink.
     const double busy = eng.profiler.lane_busy_seconds(dev->gpu_lane);
     report.device_busy_seconds.push_back(busy);
     const double stall = wall > busy ? wall - busy : 0.0;
@@ -1292,9 +1219,6 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
             .count();
     report.trace.lanes = eng.profiler.lanes_view();
     report.trace.spans_dropped = report.spans_dropped;
-    if (config_.event_log != nullptr) {
-      report.trace.events = config_.event_log->events();
-    }
     if (config_.span_log != nullptr) {
       // Mesh-side spans (steal serves, late result hops) may land after
       // this snapshot; LiveCluster re-reads the shared log once every

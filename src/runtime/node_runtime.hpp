@@ -108,27 +108,17 @@ class NodeRuntime {
     /// per shard (see DESIGN.md §10).
     std::uint32_t cache_shards = 0;
 
-    /// Concurrent tile jobs per worker (§4.2), clamped to half the
-    /// device slot count. Each tile's working set is capped at (device
-    /// slots / tiles in flight) so the concurrent pin demand can never
-    /// exceed the slot supply. Each tile in flight (this plus the
-    /// prefetch window) also gets its own I/O lane (DESIGN.md §6).
+    /// Concurrent tile jobs per worker (§4.2), the node's only admission
+    /// budget. Clamped to half the slot count of the smallest device-cache
+    /// shard; each tile's working set is capped at (shard slots / tiles in
+    /// flight) so the concurrent pin demand can never exceed the slot
+    /// supply. While one tile computes, the others load: the limit is also
+    /// the look-ahead depth (§4.3), and each tile in flight gets its own
+    /// I/O lane (DESIGN.md §6, §11).
     std::uint32_t job_limit_per_worker = 8;
 
-    /// Look-ahead prefetch window per device, in tiles. The per-device
-    /// job budget splits into a *compute* budget (job_limit_per_worker,
-    /// clamped as before) and this many additional in-flight tiles whose
-    /// missing items are driven through the load pipeline ahead of need,
-    /// so the kernels for tile T overlap the I/O/parse/H2D stages of tiles
-    /// T+1..T+W (§4.3's transfer/compute overlap carried into the
-    /// scheduler). The deadlock-freedom invariant generalises: compute
-    /// demand + prefetch demand ≤ device slots per shard, so tile working
-    /// sets clamp against the combined budget (and the window itself is
-    /// clamped on slot-starved devices). 0 = off: bit-identical to the
-    /// pre-prefetch schedule.
-    std::uint32_t prefetch_tiles = 0;
-
-    /// Leaf visitation order (dnc::Traversal). kDepthFirst is the
+    /// Leaf visitation order (dnc::Traversal) of run() and of a mesh
+    /// node's partition share in run_partition(). kDepthFirst is the
     /// executor's native descent — the historical schedule; kHilbert
     /// orders tiles along a Hilbert curve so consecutive tiles share rows
     /// or columns (fewer cold items per step, fewer loads under a small
@@ -180,14 +170,6 @@ class NodeRuntime {
     /// time (device_busy/stall_seconds, lane_busy) read zero when off.
     bool telemetry = true;
 
-    /// Per-lane span retention cap when `trace` is on; overflow counts in
-    /// Report::spans_dropped instead of growing without bound. 0 = no cap.
-    std::size_t max_spans_per_lane = Profiler::kDefaultSpanCap;
-
-    /// Optional sink for discrete trace events (prefetch parks); shared
-    /// with the mesh layer's event stream by LiveCluster. May be null.
-    telemetry::EventLog* event_log = nullptr;
-
     // --- causal tracing (DESIGN.md §16) ---
 
     /// Sampled causal-span sink (shared with the mesh layer by
@@ -218,9 +200,9 @@ class NodeRuntime {
     /// deadlock-freedom clamp leaves at one shard.
     std::uint64_t cache_fast_hits = 0;
     std::vector<std::uint64_t> pairs_per_device;
-    /// Tiles whose working set finished loading while every compute slot
-    /// of their device was busy — i.e. loads that the prefetch window
-    /// fully overlapped with computation. 0 when prefetch_tiles == 0.
+    /// Tiles whose working set resolved while another tile of the same
+    /// device was waiting for or running its compare task — loads fully
+    /// overlapped with computation. 0 with one tile in flight per device.
     std::uint64_t prefetch_hits = 0;
     /// kFailed cache-grant re-drives (bounded by max_acquire_retries).
     std::uint64_t acquire_retries = 0;
@@ -233,7 +215,7 @@ class NodeRuntime {
     std::vector<double> device_busy_seconds;
     /// Per-device load-stall seconds: wall time minus GPU-lane busy time —
     /// the time the device sat idle waiting for data (plus scheduling
-    /// slack). The quantity the prefetch pipeline exists to shrink.
+    /// slack). The quantity more tiles in flight shrink.
     std::vector<double> device_stall_seconds;
     double stall_seconds = 0.0;  // sum of device_stall_seconds
     steal::ExecutorStats steal;
@@ -244,7 +226,8 @@ class NodeRuntime {
     telemetry::MetricsSnapshot metrics;
     /// Chrome-trace input (lanes + epoch offset) when Config::trace.
     telemetry::NodeTrace trace;
-    /// Spans discarded at Config::max_spans_per_lane.
+    /// Spans discarded at the profiler's per-lane cap
+    /// (Profiler::kDefaultSpanCap).
     std::uint64_t spans_dropped = 0;
   };
 

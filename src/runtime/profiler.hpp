@@ -6,7 +6,7 @@
 // the telemetry layer's Chrome-trace exporter (DESIGN.md §13), and
 // aggregates busy time per lane — the live counterpart of Fig 8's bars.
 //
-// Memory is bounded: each lane retains at most `max_spans_per_lane` spans
+// Memory is bounded: each lane retains at most the constructor's span cap
 // (overflow is counted in spans_dropped(), never allocated), and busy
 // accounting is a per-lane atomic so a trace-off profiler costs two clock
 // reads and one relaxed add per task. set_enabled(false) turns even that
@@ -42,9 +42,9 @@ class Profiler {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Default per-lane span retention (~6 MiB/lane worst case); the knob
-  /// exists because a long mesh soak with trace on must not grow without
-  /// bound (NodeRuntime::Config::max_spans_per_lane).
+  /// Default per-lane span retention (~6 MiB/lane worst case), the cap
+  /// NodeRuntime uses: a long mesh soak with trace on must not grow
+  /// without bound. 0 passed to the constructor means no cap.
   static constexpr std::size_t kDefaultSpanCap = 1u << 18;
 
   struct Span {
@@ -95,7 +95,7 @@ class Profiler {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool armed() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Spans discarded because their lane hit max_spans_per_lane.
+  /// Spans discarded because their lane hit the span cap.
   std::uint64_t spans_dropped() const {
     return spans_dropped_.load(std::memory_order_relaxed);
   }

@@ -44,32 +44,7 @@ ExecutorStats StealExecutor::run(dnc::ItemIndex n, const LeafFn& leaf) {
     owned.push_back(std::make_unique<ChaseLevDeque<dnc::Region>>());
     deques.push_back(owned.back().get());
   }
-  if (total > 0) {
-    if (config_.leaf_order == dnc::Traversal::kDepthFirst) {
-      deques[0]->push(new dnc::Region(dnc::root_region(n)));
-    } else {
-      // Materialised traversal: one contiguous chunk of the ordered leaf
-      // list per worker, each pushed in reverse so the owner's LIFO pops
-      // walk its chunk front to back. Chunking keeps the curve's
-      // adjacency within every worker and starts all workers busy —
-      // seeding a single deque would turn the other workers' entire
-      // share into per-leaf steals of arbitrary far-end leaves.
-      const auto ordered = dnc::leaves(dnc::root_region(n),
-                                       std::max<std::uint64_t>(
-                                           1, config_.max_leaf_pairs),
-                                       config_.leaf_order);
-      const std::size_t per_worker =
-          (ordered.size() + deques.size() - 1) / deques.size();
-      for (std::size_t w = 0; w < deques.size(); ++w) {
-        const std::size_t begin = w * per_worker;
-        const std::size_t end =
-            std::min(ordered.size(), begin + per_worker);
-        for (std::size_t i = end; i > begin; --i) {
-          deques[w]->push(new dnc::Region(ordered[i - 1]));
-        }
-      }
-    }
-  }
+  seed({dnc::root_region(n)}, deques);
 
   std::vector<std::thread> threads;
   threads.reserve(config_.num_workers);
@@ -103,12 +78,7 @@ ExecutorStats StealExecutor::run_partition(
     owned.push_back(std::make_unique<ChaseLevDeque<dnc::Region>>());
     deques.push_back(owned.back().get());
   }
-  std::size_t next = 0;
-  for (const auto& region : regions) {
-    if (dnc::count_pairs(region) == 0) continue;
-    deques[next % deques.size()]->push(new dnc::Region(region));
-    ++next;
-  }
+  seed(regions, deques);
   // Scope guard: the deques must come out of the exporter before they are
   // destroyed, even if thread spawning below throws.
   struct Installation {
@@ -152,6 +122,37 @@ ExecutorStats StealExecutor::run_partition(
   stats.remote_steals = remote_steals.load();
   stats.failed_steal_sweeps = failed_sweeps.load();
   return stats;
+}
+
+void StealExecutor::seed(
+    const std::vector<dnc::Region>& regions,
+    std::vector<ChaseLevDeque<dnc::Region>*>& deques) const {
+  if (config_.leaf_order == dnc::Traversal::kDepthFirst) {
+    std::size_t next = 0;
+    for (const auto& region : regions) {
+      if (dnc::count_pairs(region) == 0) continue;
+      deques[next % deques.size()]->push(new dnc::Region(region));
+      ++next;
+    }
+    return;
+  }
+  // Materialised traversal: one contiguous chunk of the ordered leaf list
+  // per worker, each pushed in reverse so the owner's LIFO pops walk its
+  // chunk front to back. Chunking keeps the curve's adjacency within
+  // every worker and starts all workers busy — seeding a single deque
+  // would turn the other workers' entire share into per-leaf steals of
+  // arbitrary far-end leaves.
+  const auto ordered =
+      dnc::leaves(regions, config_.max_leaf_pairs, config_.leaf_order);
+  const std::size_t per_worker =
+      (ordered.size() + deques.size() - 1) / deques.size();
+  for (std::size_t w = 0; w < deques.size(); ++w) {
+    const std::size_t begin = w * per_worker;
+    const std::size_t end = std::min(ordered.size(), begin + per_worker);
+    for (std::size_t i = end; i > begin; --i) {
+      deques[w]->push(new dnc::Region(ordered[i - 1]));
+    }
+  }
 }
 
 std::uint64_t StealExecutor::descend(dnc::Region current,

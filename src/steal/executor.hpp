@@ -3,12 +3,13 @@
 // Live multithreaded divide-and-conquer executor (the Constellation role).
 //
 // Spawns one worker thread per configured worker (the runtime launches one
-// per GPU, as the paper does). Worker 0 seeds the root region; workers
-// descend depth-first over their own Chase–Lev deque and steal the largest
-// region from random victims when idle. The leaf callback is invoked on
-// the worker's thread — Rocket's runtime uses it to submit comparison
-// jobs, and its back-pressure (concurrent job limit) naturally throttles
-// the executor, exactly as §4.2 describes.
+// per GPU, as the paper does). The seed regions go onto the workers'
+// deques (Config::leaf_order); workers descend depth-first over their own
+// Chase–Lev deque and steal the largest region from random victims when
+// idle. The leaf callback is invoked on the worker's thread — Rocket's
+// runtime uses it to submit comparison jobs, and its back-pressure
+// (concurrent job limit) naturally throttles the executor, exactly as
+// §4.2 describes.
 //
 // Two entry points:
 //   * run()           — single-node: seed the root region, terminate when
@@ -66,15 +67,15 @@ class StealExecutor {
     std::uint64_t max_leaf_pairs = 1;
     std::uint64_t seed = 1;
 
-    /// Leaf visitation order for run(). kDepthFirst is the native
-    /// work-stealing descent (root seeded, siblings re-derived on the
-    /// fly — the historical schedule). Any other order materialises the
-    /// leaf list up front (dnc::leaves) and seeds each worker's deque
-    /// with one contiguous chunk of it, so every worker pops its chunk
-    /// in exactly that order; idle workers still steal from the far
-    /// end. run_partition() always uses the native descent — a mesh
-    /// node's work arrives as partition fragments and stolen regions,
-    /// which have no meaningful global order.
+    /// Leaf visitation order of the seeded work: the root in run(), the
+    /// node's partition share in run_partition(). kDepthFirst is the
+    /// native work-stealing descent (seed regions pushed round-robin,
+    /// siblings re-derived on the fly — the historical schedule). Any
+    /// other order materialises the seeds' leaves up front (dnc::leaves,
+    /// one curve grid for all seeds) and gives each worker's deque one
+    /// contiguous chunk, so every worker pops its chunk in exactly that
+    /// order; idle workers still steal from the far end. Regions stolen
+    /// in from other nodes descend natively.
     dnc::Traversal leaf_order = dnc::Traversal::kDepthFirst;
   };
 
@@ -97,11 +98,11 @@ class StealExecutor {
   ExecutorStats run(dnc::ItemIndex n, const LeafFn& leaf);
 
   /// Execute one node's share of a mesh run: `regions` seed the local
-  /// deques (round-robin), idle workers fall back to hooks.steal after a
-  /// failed local sweep, and the loop exits only when hooks.done() — by
-  /// which point every locally seeded or stolen-in region has either been
-  /// executed here or been exported through `exporter`. `exporter` may be
-  /// null (no work export).
+  /// deques (in Config::leaf_order), idle workers fall back to
+  /// hooks.steal after a failed local sweep, and the loop exits only
+  /// when hooks.done() — by which point every locally seeded or
+  /// stolen-in region has either been executed here or been exported
+  /// through `exporter`. `exporter` may be null (no work export).
   ExecutorStats run_partition(const std::vector<dnc::Region>& regions,
                               const LeafFn& leaf, const RemoteHooks& hooks,
                               StealExporter* exporter);
@@ -121,6 +122,11 @@ class StealExecutor {
                              std::atomic<std::uint64_t>& remote_steals,
                              std::atomic<std::uint64_t>& failed_sweeps,
                              std::atomic<std::uint64_t>& leaves);
+
+  /// Seed the workers' deques with `regions` in Config::leaf_order. Both
+  /// entry points start here.
+  void seed(const std::vector<dnc::Region>& regions,
+            std::vector<ChaseLevDeque<dnc::Region>*>& deques) const;
 
   /// Depth-first descent: split `region` down to a leaf, pushing siblings
   /// onto `mine`, then invoke leaf. Returns the leaf's pair count.

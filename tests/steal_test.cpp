@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
 #include <set>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "steal/deque.hpp"
 #include "steal/executor.hpp"
@@ -370,6 +373,49 @@ TEST(StealExecutor, PartitionModeIntegratesRemoteWork) {
   EXPECT_EQ(seen.size(), total);
   EXPECT_EQ(stats.remote_steals, remote_served.load());
   EXPECT_GT(stats.remote_steals, 0u);
+}
+
+/// Leaves a one-worker run_partition hands out over node 0's share of a
+/// two-node partition of 64 items, in `order`, with 8-pair leaves.
+std::vector<dnc::Region> partition_leaf_sequence(dnc::Traversal order) {
+  const auto share = dnc::partition_root(64, 2)[0];
+  std::uint64_t total = 0;
+  for (const auto& region : share) total += dnc::count_pairs(region);
+
+  StealExecutor::Config cfg;
+  cfg.num_workers = 1;
+  cfg.max_leaf_pairs = 8;
+  cfg.leaf_order = order;
+  StealExecutor exec(cfg);
+  std::vector<dnc::Region> handed;
+  std::atomic<std::uint64_t> executed{0};
+  StealExecutor::RemoteHooks hooks;
+  hooks.done = [&] { return executed.load() == total; };
+  exec.run_partition(
+      share,
+      [&](const dnc::Region& region, std::uint32_t) {
+        handed.push_back(region);
+        executed.fetch_add(dnc::count_pairs(region));
+      },
+      hooks, nullptr);
+  return handed;
+}
+
+TEST(StealExecutor, PartitionRunsHonourLeafOrder) {
+  const auto share = dnc::partition_root(64, 2)[0];
+
+  const auto row_major = partition_leaf_sequence(dnc::Traversal::kRowMajor);
+  ASSERT_GT(row_major.size(), 1u);
+  EXPECT_TRUE(std::is_sorted(
+      row_major.begin(), row_major.end(),
+      [](const dnc::Region& a, const dnc::Region& b) {
+        return std::tie(a.row_begin, a.col_begin) <
+               std::tie(b.row_begin, b.col_begin);
+      }));
+  EXPECT_EQ(row_major, dnc::leaves(share, 8, dnc::Traversal::kRowMajor));
+
+  EXPECT_EQ(partition_leaf_sequence(dnc::Traversal::kHilbert),
+            dnc::leaves(share, 8, dnc::Traversal::kHilbert));
 }
 
 TEST(StealExporter, EmptyOutsideInstallWindow) {
