@@ -410,32 +410,32 @@ int main(int argc, char** argv) {
               "compute)\n",
               report.stall_seconds,
               static_cast<unsigned long long>(report.prefetch_hits));
-  if (report.node_deaths > 0) {
+  const auto& fo = report.failover;
+  if (fo.node_deaths > 0) {
     std::printf("failover: %llu node death(s), %llu regions re-executed, "
                 "%llu duplicate results dropped, %llu fetch retries\n",
-                static_cast<unsigned long long>(report.node_deaths),
-                static_cast<unsigned long long>(report.regions_reexecuted),
+                static_cast<unsigned long long>(fo.node_deaths),
+                static_cast<unsigned long long>(fo.regions_reexecuted),
                 static_cast<unsigned long long>(
                     report.duplicate_results_dropped),
                 static_cast<unsigned long long>(report.peer_retries));
   }
-  if (report.master_failovers > 0) {
+  if (fo.master_failovers > 0) {
     std::printf("failover: master role adopted %llu time(s) — the lowest "
                 "live node completed the aggregation\n",
-                static_cast<unsigned long long>(report.master_failovers));
+                static_cast<unsigned long long>(fo.master_failovers));
   }
-  if (report.nodes_degraded > 0 || report.nodes_recovered > 0 ||
-      report.regions_speculated > 0) {
+  if (fo.nodes_degraded > 0 || fo.nodes_recovered > 0 ||
+      fo.regions_speculated > 0) {
     std::printf("health: %llu degradation verdict(s), %llu recovery(ies), "
                 "%llu steal draw(s) skipped stragglers\n",
-                static_cast<unsigned long long>(report.nodes_degraded),
-                static_cast<unsigned long long>(report.nodes_recovered),
-                static_cast<unsigned long long>(
-                    report.steals_avoided_degraded));
+                static_cast<unsigned long long>(fo.nodes_degraded),
+                static_cast<unsigned long long>(fo.nodes_recovered),
+                static_cast<unsigned long long>(fo.steals_avoided_degraded));
     std::printf("speculation: %llu region(s) of straggler backlog re-granted "
                 "to healthy nodes (first result wins; %llu duplicate(s) "
                 "dropped)\n",
-                static_cast<unsigned long long>(report.regions_speculated),
+                static_cast<unsigned long long>(fo.regions_speculated),
                 static_cast<unsigned long long>(
                     report.duplicate_results_dropped));
   }

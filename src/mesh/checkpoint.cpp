@@ -104,17 +104,6 @@ bool parse_payload(const std::uint8_t* payload, std::uint32_t len,
       }
       return true;
     }
-    case Journal::kRegionComplete: {
-      dnc::Region region;
-      region.row_begin = r.get_u32();
-      region.row_end = r.get_u32();
-      region.col_begin = r.get_u32();
-      region.col_end = r.get_u32();
-      region.depth = r.get_u32();
-      if (!r.ok || r.p != r.end) return false;
-      out.completed_regions.push_back(region);
-      return true;
-    }
     default:
       return false;
   }
@@ -129,7 +118,11 @@ std::uint64_t Journal::fingerprint(std::uint32_t items,
                                    std::uint32_t num_nodes,
                                    std::uint32_t granularity,
                                    std::uint64_t seed) {
-  std::uint64_t h = mix64(0x726F636B65746A6CULL);  // "rocketjl"
+  // "rocketj2": journals of the earlier format, which also held
+  // region-completion records (type 3), fail this check and start fresh.
+  // Replaying one would tear at its first type-3 record and cut the
+  // delivered batches after it.
+  std::uint64_t h = mix64(0x726F636B65746A32ULL);
   h = mix64(h ^ items);
   h = mix64(h ^ num_nodes);
   h = mix64(h ^ granularity);
@@ -205,17 +198,6 @@ void Journal::append_results(const std::vector<runtime::PairResult>& results) {
     put_f64(body, res.score);
   }
   append_record(kResultBatch, body);
-}
-
-void Journal::append_region_complete(const dnc::Region& region) {
-  std::scoped_lock lock(mutex_);
-  ByteBuffer body;
-  put_u32(body, region.row_begin);
-  put_u32(body, region.row_end);
-  put_u32(body, region.col_begin);
-  put_u32(body, region.col_end);
-  put_u32(body, region.depth);
-  append_record(kRegionComplete, body);
 }
 
 std::uint64_t Journal::records_appended() const {

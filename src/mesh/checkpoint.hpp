@@ -5,9 +5,8 @@
 // A LiveCluster run with a checkpoint store attached writes a write-ahead
 // journal through storage::ObjectStore::append: one Manifest record up
 // front (config fingerprint, so a resume against a different run is
-// rejected), then ResultBatch records as the master flushes accepted
-// results and RegionComplete records as whole grants drain. Every record
-// is length-prefixed and CRC32-guarded:
+// rejected), then one ResultBatch record per batch the master flushes.
+// Every record is length-prefixed and CRC32-guarded:
 //
 //   [u32 length][u32 crc32(payload)][payload = u8 type + body]
 //
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "dnc/pair_space.hpp"
 #include "runtime/application.hpp"
 #include "storage/object_store.hpp"
 
@@ -52,8 +50,7 @@ struct Replay {
   bool found = false;         // the object exists in the store
   bool has_manifest = false;  // a valid Manifest record was read
   Manifest manifest;
-  std::vector<runtime::PairResult> results;   // journalled result batches
-  std::vector<dnc::Region> completed_regions;  // fully-drained grants
+  std::vector<runtime::PairResult> results;  // journalled result batches
   std::uint64_t records = 0;  // valid records walked
   Bytes valid_bytes = 0;      // byte offset of the first invalid/torn byte
   bool torn = false;          // trailing bytes past valid_bytes exist
@@ -66,7 +63,6 @@ class Journal {
  public:
   static constexpr std::uint8_t kManifest = 1;
   static constexpr std::uint8_t kResultBatch = 2;
-  static constexpr std::uint8_t kRegionComplete = 3;
 
   Journal(storage::ObjectStore& store, std::string name);
 
@@ -90,7 +86,6 @@ class Journal {
   void start_fresh(const Manifest& manifest);
 
   void append_results(const std::vector<runtime::PairResult>& results);
-  void append_region_complete(const dnc::Region& region);
 
   std::uint64_t records_appended() const;
 

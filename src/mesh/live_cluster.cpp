@@ -81,15 +81,10 @@ LiveCluster::Report LiveCluster::run_all_pairs(
         ck.records_replayed = replay.records;
         // Dedup the replayed state through a scratch ledger: a journal
         // written across a failover can record a pair twice (old and new
-        // master), and completed regions overlap their own results.
+        // master).
         ResultLedger scratch(n, p);
         for (const auto& result : replay.results) {
           scratch.mark_recovered(result.left, result.right);
-        }
-        for (const auto& region : replay.completed_regions) {
-          dnc::for_each_pair(region, [&](const dnc::Pair& pair) {
-            scratch.mark_recovered(pair.left, pair.right);
-          });
         }
         recovered = scratch.delivered_pairs();
         ck.pairs_recovered = recovered.size();
@@ -438,15 +433,8 @@ LiveCluster::Report LiveCluster::run_all_pairs(
       node_reports[id].trace.causal_spans = span_logs[id]->records();
     }
   }
-  report.node_deaths = report.failover.node_deaths;
-  report.regions_reexecuted = report.failover.regions_reexecuted;
   report.duplicate_results_dropped =
       report.failover.duplicate_results_dropped;
-  report.master_failovers = report.failover.master_failovers;
-  report.regions_speculated = report.failover.regions_speculated;
-  report.nodes_degraded = report.failover.nodes_degraded;
-  report.nodes_recovered = report.failover.nodes_recovered;
-  report.steals_avoided_degraded = report.failover.steals_avoided_degraded;
   report.peer_retries = report.peer_cache.retries;
 
   // --- causal tracing epilogue (DESIGN.md §16) ---
@@ -455,7 +443,7 @@ LiveCluster::Report LiveCluster::run_all_pairs(
   // role moved (the post-mortem question is then "what did each node see
   // around the handover").
   for (NodeId id = 0; id < p; ++id) {
-    if (transport.is_down(id) || report.master_failovers > 0) {
+    if (transport.is_down(id) || report.failover.master_failovers > 0) {
       dump_flight(id);
     }
   }

@@ -122,8 +122,8 @@ struct LiveClusterConfig {
   // --- durability (DESIGN.md §14) ---
 
   /// Write-ahead run journal target. Non-null enables journalling: the
-  /// master appends a manifest, flushed result batches and completed
-  /// regions through this store (must support_write()), as the object
+  /// master appends a manifest and its flushed result batches through
+  /// this store (must support_write()), as the object
   /// checkpoint::kJournalName. Null disables the whole checkpoint path.
   storage::ObjectStore* checkpoint_store = nullptr;
 
@@ -207,21 +207,17 @@ struct LiveClusterReport {
   double stall_seconds = 0.0;  // summed device load-stall time, all nodes
 
   // --- failure model (all zero in a fault-free run) ---
-  std::uint64_t node_deaths = 0;        // death verdicts issued
-  std::uint64_t regions_reexecuted = 0; // regions re-granted to survivors
-  std::uint64_t duplicate_results_dropped = 0;  // master dedup drops
-  std::uint64_t peer_retries = 0;       // fetch retransmits, all nodes
-  FailoverStats failover;               // full failover detail, aggregated
-  std::uint64_t master_failovers = 0;   // master-role adoptions
+  /// Death verdicts, re-grants, adoptions, health verdicts and
+  /// speculation, summed over every node.
+  FailoverStats failover;
+  /// Copies of failover.duplicate_results_dropped and
+  /// peer_cache.retries; perfbench reads them here.
+  std::uint64_t duplicate_results_dropped = 0;
+  std::uint64_t peer_retries = 0;
   std::uint64_t corrupted_frames = 0;   // injected corrupt frames (chaos)
   CheckpointStats checkpoint;           // journal/resume detail (§14)
 
   // --- grey-failure resilience (DESIGN.md §15) ---
-  std::uint64_t regions_speculated = 0;  // straggler backlog re-grants
-  std::uint64_t nodes_degraded = 0;      // degradation verdicts
-  std::uint64_t nodes_recovered = 0;     // hysteresis recoveries
-  std::uint64_t steals_avoided_degraded = 0;  // victim draws that skipped
-                                              // stragglers
   std::uint64_t load_retries = 0;   // transient store-read retries, all nodes
   std::uint64_t failed_loads = 0;   // loads that fell to the failed-item path
 

@@ -107,7 +107,6 @@ MeshNode::MeshNode(Config config, Transport& transport,
     for (const dnc::Pair& pair : cfg_.recovered) {
       if (ledger_->mark_recovered(pair.left, pair.right)) ++results_seen_;
     }
-    init_region_watch();
   }
   snap_states_.assign(p, SnapState{});
   steal_rtt_ = &metrics_.histogram("steal.rtt");
@@ -795,7 +794,6 @@ void MeshNode::on_result_msg(const ResultMsg& msg) {
       continue;
     }
     batch_.push_back(result);
-    note_region_progress(result);
     if (batch_.size() >= cfg_.result_batch_pairs ||
         results_seen_ + batch_.size() >= cfg_.expected_pairs) {
       flush_results();
@@ -813,7 +811,6 @@ void MeshNode::flush_results() {
   if (transport_.is_node_down(cfg_.id)) {
     crashed_ = true;
     batch_.clear();
-    regions_just_completed_.clear();
     return;
   }
   // Step 2: mirror before anything externally visible. A failed sync
@@ -824,19 +821,12 @@ void MeshNode::flush_results() {
   if (cfg_.failover && !sync_to_standby()) {
     crashed_ = true;
     batch_.clear();
-    regions_just_completed_.clear();
     return;
   }
   // Step 3: journal. No send happens between here and delivery, so the
   // injected crash model cannot separate them — a journalled batch IS a
   // delivered batch, which is what makes resume's replay exact.
-  if (cfg_.journal != nullptr) {
-    cfg_.journal->append_results(batch_);
-    for (const dnc::Region& region : regions_just_completed_) {
-      cfg_.journal->append_region_complete(region);
-    }
-  }
-  regions_just_completed_.clear();
+  if (cfg_.journal != nullptr) cfg_.journal->append_results(batch_);
   // Step 4: deliver and account.
   for (const runtime::PairResult& result : batch_) {
     if (cfg_.on_result) cfg_.on_result(result);
@@ -859,7 +849,6 @@ bool MeshNode::sync_to_standby() {
     sync.master = cfg_.id;
     sync.seq = ++sync_seq_;
     sync.snapshot = fresh;
-    sync.delivered = results_seen_ + batch_.size();
     if (fresh) {
       // Full snapshot: the ledger already recorded the pending batch at
       // accept time, so delivered_pairs() covers it — no separate delta.
@@ -894,7 +883,6 @@ void MeshNode::on_ledger_sync(LedgerSync sync) {
   // into the new master's stream — snapshots reset the stream).
   if (!sync.snapshot && sync.seq <= mirror_seq_) return;
   mirror_seq_ = sync.seq;
-  mirror_delivered_ = sync.delivered;
   if (sync.snapshot) {
     mirror_ = std::move(sync.pairs);
   } else {
@@ -938,7 +926,8 @@ void MeshNode::adopt_master(NodeId dead_master) {
   // Rebuild the aggregation state: everything starts as the dead
   // master's lease, then the mirrored + recovered pairs are marked
   // delivered. The mirror equals the dead master's user-delivered set
-  // exactly (flush step 2 precedes step 4 with no send between), so
+  // exactly (flush step 2 precedes step 4 with no send between, and a
+  // snapshot outside a flush is sent only with no batch pending), so
   // results_seen_ resumes at the true delivered count.
   ledger_ = std::make_unique<ResultLedger>(cfg_.ledger_items, p);
   ledger_->grant(dead_master, dnc::root_region(cfg_.ledger_items),
@@ -951,9 +940,7 @@ void MeshNode::adopt_master(NodeId dead_master) {
     if (ledger_->mark_recovered(pair.left, pair.right)) ++results_seen_;
   }
   mirror_.clear();
-  init_region_watch();
   batch_.clear();
-  regions_just_completed_.clear();
   standby_ = kNoNode;
   standby_needs_snapshot_ = true;
   // Fresh leases for everyone: the new master's detector must not
@@ -994,38 +981,6 @@ void MeshNode::adopt_master(NodeId dead_master) {
   }
 }
 
-void MeshNode::init_region_watch() {
-  region_watch_.clear();
-  regions_just_completed_.clear();
-  if (ledger_ == nullptr || cfg_.journal == nullptr) return;
-  for (const auto& grants : cfg_.initial_grants) {
-    for (const dnc::Region& region : grants) {
-      std::uint64_t remaining = 0;
-      dnc::for_each_pair(region, [&](const dnc::Pair& pair) {
-        if (!ledger_->is_delivered(pair.left, pair.right)) ++remaining;
-      });
-      if (remaining > 0) region_watch_.push_back({region, remaining});
-    }
-  }
-}
-
-void MeshNode::note_region_progress(const runtime::PairResult& result) {
-  if (region_watch_.empty()) return;
-  for (RegionWatch& watch : region_watch_) {
-    const dnc::Region& r = watch.region;
-    if (result.left < r.row_begin || result.left >= r.row_end ||
-        result.right < r.col_begin || result.right >= r.col_end) {
-      continue;
-    }
-    if (--watch.remaining == 0) {
-      regions_just_completed_.push_back(r);
-      watch = region_watch_.back();
-      region_watch_.pop_back();
-    }
-    return;  // initial-partition regions are disjoint in pair space
-  }
-}
-
 void MeshNode::on_node_down(const NodeDown& down, NodeId from) {
   const auto p = transport_.num_nodes();
   if (down.node >= p || down.node == cfg_.id) return;
@@ -1059,10 +1014,18 @@ void MeshNode::on_node_down(const NodeDown& down, NodeId from) {
   if (is_master() && down.node == standby_) {
     // The mirror target died: re-establish it immediately so the
     // exposure window (results flushed but mirrored nowhere live) stays
-    // one batch wide.
+    // one batch wide. A pending batch flushes instead of riding a bare
+    // snapshot: the mirror must equal the delivered set, or an adopter
+    // would count the batch delivered and never re-grant it (§14.3).
     standby_ = kNoNode;
     standby_needs_snapshot_ = true;
-    if (cfg_.failover && !crashed_) sync_to_standby();
+    if (cfg_.failover && !crashed_) {
+      if (batch_.empty()) {
+        sync_to_standby();
+      } else {
+        flush_results();
+      }
+    }
   }
   if (is_master() && from == cfg_.id) {
     // Locally-originated verdict (our own failure detector): broadcast to

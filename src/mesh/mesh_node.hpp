@@ -229,8 +229,8 @@ class MeshNode final : public runtime::PeerFetchClient {
     bool failover = false;
 
     /// Crash-safe run journal (shared across nodes; internally locked).
-    /// The current master appends flushed result batches and completed
-    /// regions. Null disables journalling.
+    /// The current master appends each flushed result batch. Null
+    /// disables journalling.
     checkpoint::Journal* journal = nullptr;
 
     /// Pairs already delivered by a previous incarnation of this run
@@ -406,11 +406,6 @@ class MeshNode final : public runtime::PeerFetchClient {
   /// the ledger from the mirror, announce, and re-grant the frontier.
   void adopt_master(NodeId dead_master);
 
-  /// Rebuild the initial-grant completion watch (journal RegionComplete
-  /// records) from the ledger's current delivered state.
-  void init_region_watch();
-  void note_region_progress(const runtime::PairResult& result);
-
   /// Ticker: sample this node's runtime and ship it to the master.
   void publish_snapshot();
 
@@ -527,18 +522,9 @@ class MeshNode final : public runtime::PeerFetchClient {
   bool standby_needs_snapshot_ = true;
   std::uint64_t sync_seq_ = 0;
   std::uint32_t failover_epoch_ = 0;
-  /// Standby side: the mirrored delivered set and count.
+  /// Standby side: the mirrored delivered set.
   std::vector<dnc::Pair> mirror_;
-  std::uint64_t mirror_delivered_ = 0;
   std::uint64_t mirror_seq_ = 0;
-  /// Initial-grant regions with undelivered-pair countdowns; a zeroed
-  /// entry becomes a journal RegionComplete record at the next flush.
-  struct RegionWatch {
-    dnc::Region region;
-    std::uint64_t remaining = 0;
-  };
-  std::vector<RegionWatch> region_watch_;
-  std::vector<dnc::Region> regions_just_completed_;
 
   // --- liveness (shared between service thread and ticker) ---
   std::unique_ptr<std::atomic<bool>[]> dead_;

@@ -15,7 +15,6 @@ ResultLedger::ResultLedger(dnc::ItemIndex n, std::uint32_t num_nodes)
   const std::uint64_t pairs = dnc::count_pairs(dnc::root_region(n));
   owner_.assign(pairs, kNoOwner);
   delivered_.assign(pairs, 0);
-  epoch_.assign(pairs, 0);
   owed_.assign(num_nodes, 0);
 }
 
@@ -29,10 +28,6 @@ void ResultLedger::grant(NodeId owner, const dnc::Region& region,
       inc_owed(owner);
     }
     owner_[k] = owner;
-    if (reexecution && !delivered_[k]) {
-      if (epoch_[k] < 0xFF) ++epoch_[k];
-      if (epoch_[k] > max_epoch_) max_epoch_ = epoch_[k];
-    }
   });
 }
 

@@ -23,7 +23,8 @@
 // result flows through the same ResultMsg path.
 //
 // Representation: flat per-pair arrays indexed by the closed-form upper-
-// triangle index — O(1) record, O(n^2) memory. That is the right trade at
+// triangle index — O(1) record, O(n^2) memory: 5 B per pair (a 4-byte
+// owner and a 1-byte delivered flag). That is the right trade at
 // the mesh's current in-process scale (the simulator covers the
 // million-item regime); a region-interval ledger drops the memory to
 // O(grants) when a wire transport raises n.
@@ -43,7 +44,7 @@ class ResultLedger {
   ResultLedger(dnc::ItemIndex n, std::uint32_t num_nodes);
 
   /// Lease every pair of `region` to `owner` (initial partition grant or
-  /// survivor re-grant; re-grants bump the pairs' re-execution epoch).
+  /// survivor re-grant; re-grants count toward regions_regranted()).
   void grant(NodeId owner, const dnc::Region& region, bool reexecution);
 
   /// Steal-transfer notice: undelivered pairs of `region` now belong to
@@ -62,10 +63,6 @@ class ResultLedger {
   /// Every delivered pair, row-major. O(n^2) scan — failover-time only.
   std::vector<dnc::Pair> delivered_pairs() const;
 
-  bool is_delivered(dnc::ItemIndex left, dnc::ItemIndex right) const {
-    return delivered_[index_of(left, right)] != 0;
-  }
-
   /// The dead node's uncompleted lease, coalesced into row-run regions
   /// (ready to re-grant). Does not change ownership — call grant() with
   /// the chosen survivor for each returned region.
@@ -82,8 +79,6 @@ class ResultLedger {
   std::uint64_t delivered() const { return delivered_count_; }
   std::uint64_t duplicates() const { return duplicates_; }
   std::uint64_t regions_regranted() const { return regions_regranted_; }
-  /// Highest re-execution epoch any pair reached (0 = no re-execution).
-  std::uint32_t max_epoch() const { return max_epoch_; }
 
  private:
   std::uint64_t index_of(dnc::ItemIndex i, dnc::ItemIndex j) const {
@@ -104,12 +99,10 @@ class ResultLedger {
   dnc::ItemIndex n_ = 0;
   std::vector<NodeId> owner_;          // per pair
   std::vector<std::uint8_t> delivered_;  // per pair (bool; uint8 for speed)
-  std::vector<std::uint8_t> epoch_;    // per pair, re-execution count
   std::vector<std::uint64_t> owed_;    // per node, undelivered leased pairs
   std::uint64_t delivered_count_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t regions_regranted_ = 0;
-  std::uint32_t max_epoch_ = 0;
 };
 
 }  // namespace rocket::mesh

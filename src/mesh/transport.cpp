@@ -124,7 +124,6 @@ void fold_body(std::uint32_t& crc, const LedgerSync& b) {
   fold(crc, b.master);
   fold(crc, b.seq);
   fold_bool(crc, b.snapshot);
-  fold(crc, b.delivered);
   fold(crc, static_cast<std::uint64_t>(b.pairs.size()));
   for (const dnc::Pair& pair : b.pairs) {
     fold(crc, pair.left);
@@ -184,7 +183,7 @@ void corrupt_body(MessageBody& body) {
         } else if constexpr (std::is_same_v<T, TelemetrySnapshot>) {
           b.seq ^= 1u;
         } else if constexpr (std::is_same_v<T, LedgerSync>) {
-          b.delivered ^= 1u;
+          b.seq ^= 1u;
         } else if constexpr (std::is_same_v<T, MasterAnnounce>) {
           b.master ^= 1u;
         } else if constexpr (std::is_same_v<T, HealthUpdate>) {

@@ -152,13 +152,12 @@ struct TelemetrySnapshot {
 /// Master → standby: aggregation-state mirror (DESIGN.md §14). `snapshot`
 /// carries the master's full delivered set (sent when a standby is first
 /// chosen or replaced); a delta carries only the pairs of one flushed
-/// batch. `delivered` is the master's post-flush delivered count — the
-/// standby adopts it so a failover knows how much of the run is done.
+/// batch. The mirror is the standby's only record of delivery: an
+/// adopter recounts the delivered pairs from it.
 struct LedgerSync {
   NodeId master = 0;
   std::uint64_t seq = 0;
   bool snapshot = false;
-  std::uint64_t delivered = 0;
   std::vector<dnc::Pair> pairs;
 };
 

@@ -162,18 +162,19 @@ std::string RunSummary::to_json() const {
   w.key("health")
       .begin_object()
       .field("nodes_suspected", r.failover.nodes_suspected)
-      .field("nodes_degraded", r.nodes_degraded)
-      .field("nodes_recovered", r.nodes_recovered)
-      .field("steals_avoided_degraded", r.steals_avoided_degraded)
+      .field("nodes_degraded", r.failover.nodes_degraded)
+      .field("nodes_recovered", r.failover.nodes_recovered)
+      .field("steals_avoided_degraded", r.failover.steals_avoided_degraded)
       .field("load_retries", r.load_retries)
       .field("failed_loads", r.failed_loads)
       .end_object();
 
   w.key("speculation")
       .begin_object()
-      .field("regions", r.regions_speculated)
+      .field("regions", r.failover.regions_speculated)
       .field("pairs", r.failover.pairs_speculated)
-      .field("duplicate_results_dropped", r.duplicate_results_dropped)
+      .field("duplicate_results_dropped",
+             r.failover.duplicate_results_dropped)
       .end_object();
 
   w.key("checkpoint")

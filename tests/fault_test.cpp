@@ -25,6 +25,7 @@
 #include "cache/distributed_directory.hpp"
 #include "common/backoff.hpp"
 #include "common/crc32.hpp"
+#include "common/rng.hpp"
 #include "dnc/pair_space.hpp"
 #include "mesh/checkpoint.hpp"
 #include "mesh/live_cluster.hpp"
@@ -148,7 +149,6 @@ TEST(ResultLedger, FirstResultWinsLaterOnesDrop) {
   EXPECT_TRUE(ledger.record(0, 2));
   EXPECT_EQ(ledger.delivered(), 2u);
   EXPECT_EQ(ledger.duplicates(), 2u);
-  EXPECT_EQ(ledger.max_epoch(), 0u);
 }
 
 TEST(ResultLedger, UndeliveredRegionsCoalesceIntoRowRuns) {
@@ -204,10 +204,9 @@ TEST(ResultLedger, TransferMovesOnlyUndeliveredPairs) {
   expected.erase({0, 1});
   EXPECT_EQ(pair_set(ledger.undelivered_of(2)), expected);
 
-  // A survivor re-grant bumps the re-execution epoch of live pairs only.
+  // A survivor re-grant counts as one re-executed region.
   ledger.grant(0, dnc::Region{0, 1, 1, 6, 0}, /*reexecution=*/true);
   EXPECT_EQ(ledger.regions_regranted(), 1u);
-  EXPECT_EQ(ledger.max_epoch(), 1u);
 }
 
 // --- mediator chain-walk cap and prune ------------------------------------
@@ -498,8 +497,8 @@ void expect_survived_exactly(const ChaosOutcome& outcome,
   // double-counted, never lost.
   EXPECT_EQ(outcome.results, expected);
   EXPECT_EQ(outcome.report.pairs, expected.size());
-  EXPECT_GE(outcome.report.node_deaths, min_deaths);
-  EXPECT_GT(outcome.report.regions_reexecuted, 0u)
+  EXPECT_GE(outcome.report.failover.node_deaths, min_deaths);
+  EXPECT_GT(outcome.report.failover.regions_reexecuted, 0u)
       << "a mid-run death must orphan work";
   EXPECT_EQ(outcome.report.failover.results_received,
             outcome.report.pairs + outcome.report.duplicate_results_dropped)
@@ -629,12 +628,12 @@ TEST(ChaosMatrix, GreyFailureStragglerFlakyStoreAndKillSurvived) {
       });
 
   expect_survived_exactly(outcome, expected, 1);
-  EXPECT_EQ(outcome.report.node_deaths, 1u)
+  EXPECT_EQ(outcome.report.failover.node_deaths, 1u)
       << "the straggler is slow, not dead: its heartbeats still flow and "
          "its lease must never expire";
-  EXPECT_GT(outcome.report.nodes_degraded, 0u)
+  EXPECT_GT(outcome.report.failover.nodes_degraded, 0u)
       << "the health machine must notice the straggler";
-  EXPECT_GT(outcome.report.regions_speculated, 0u)
+  EXPECT_GT(outcome.report.failover.regions_speculated, 0u)
       << "a slice of the straggler's backlog must migrate";
   EXPECT_GT(outcome.report.load_retries, 0u)
       << "the flaky store must have fired";
@@ -826,22 +825,19 @@ TEST(Checkpoint, JournalRoundTripsThroughReplay) {
   journal.start_fresh(manifest);
   journal.append_results({{0, 1, 0.5}, {0, 2, 1.5}, {1, 2, -3.0}});
   journal.append_results({{2, 3, 0.25}});
-  journal.append_region_complete(dnc::Region{0, 1, 1, 10, 0});
-  EXPECT_EQ(journal.records_appended(), 4u);
+  EXPECT_EQ(journal.records_appended(), 3u);
 
   const auto replay = checkpoint::Journal::replay(store, "run.journal");
   ASSERT_TRUE(replay.found);
   ASSERT_TRUE(replay.has_manifest);
   EXPECT_EQ(replay.manifest, manifest);
   EXPECT_FALSE(replay.torn);
-  EXPECT_EQ(replay.records, 4u);
+  EXPECT_EQ(replay.records, 3u);
   ASSERT_EQ(replay.results.size(), 4u);
   EXPECT_EQ(replay.results[0].left, 0u);
   EXPECT_EQ(replay.results[0].right, 1u);
   EXPECT_DOUBLE_EQ(replay.results[0].score, 0.5);
   EXPECT_DOUBLE_EQ(replay.results[3].score, 0.25);
-  ASSERT_EQ(replay.completed_regions.size(), 1u);
-  EXPECT_EQ(replay.completed_regions[0], (dnc::Region{0, 1, 1, 10, 0}));
 
   // A journal for a different run shape is a different fingerprint.
   EXPECT_NE(checkpoint::Journal::fingerprint(10, 2, 2, 7),
@@ -867,11 +863,6 @@ void expect_replay_prefix(const checkpoint::Replay& candidate,
     EXPECT_EQ(candidate.results[i].right, full.results[i].right);
     EXPECT_EQ(candidate.results[i].score, full.results[i].score);
   }
-  ASSERT_LE(candidate.completed_regions.size(),
-            full.completed_regions.size());
-  for (std::size_t i = 0; i < candidate.completed_regions.size(); ++i) {
-    EXPECT_EQ(candidate.completed_regions[i], full.completed_regions[i]);
-  }
 }
 
 TEST(Checkpoint, TornJournalFuzzDetectsEveryCorruption) {
@@ -887,7 +878,7 @@ TEST(Checkpoint, TornJournalFuzzDetectsEveryCorruption) {
   checkpoint::Journal journal(store, "j");
   journal.start_fresh(manifest);
   journal.append_results({{0, 1, 0.5}, {0, 2, 1.5}, {1, 2, -3.0}});
-  journal.append_region_complete(dnc::Region{0, 1, 1, 8, 0});
+  journal.append_results({{0, 3, 2.0}, {1, 3, -0.5}});
   journal.append_results({{2, 3, 0.25}});
   const auto full = checkpoint::Journal::replay(store, "j");
   ASSERT_TRUE(full.found && full.has_manifest && !full.torn);
@@ -932,6 +923,56 @@ TEST(Checkpoint, TornJournalFuzzDetectsEveryCorruption) {
     EXPECT_LT(replay.records, full.records);
     expect_replay_prefix(replay, full);
   }
+}
+
+/// Append `v` little-endian, the journal's on-disk byte order.
+void put_le32(ByteBuffer& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xFF);
+}
+
+TEST(Checkpoint, RetiredRecordTypeEndsTheValidPrefix) {
+  // Type 3 once held region-completion records. The format has no such
+  // type now, so a CRC-clean type-3 record is a tear like any malformed
+  // payload: replay keeps what precedes it and trusts nothing after it.
+  storage::MemoryStore store;
+  checkpoint::Manifest manifest;
+  manifest.items = 8;
+  manifest.num_nodes = 2;
+  manifest.granularity = 2;
+  manifest.seed = 3;
+  manifest.expected_pairs = 28;
+  manifest.fingerprint = checkpoint::Journal::fingerprint(8, 2, 2, 3);
+
+  checkpoint::Journal journal(store, "j");
+  journal.start_fresh(manifest);
+  journal.append_results({{0, 1, 0.5}});
+  const Bytes prefix = store.read("j").size();
+
+  // A framed type-3 record with a region body (5 u32s) and a valid CRC.
+  ByteBuffer payload{3};
+  for (const std::uint32_t v : {0u, 1u, 1u, 8u, 0u}) put_le32(payload, v);
+  ByteBuffer record;
+  put_le32(record, static_cast<std::uint32_t>(payload.size()));
+  put_le32(record, crc32(payload.data(), payload.size()));
+  record.insert(record.end(), payload.begin(), payload.end());
+  store.append("j", record);
+  journal.append_results({{2, 3, 0.25}});
+
+  const auto replay = checkpoint::Journal::replay(store, "j");
+  ASSERT_TRUE(replay.found && replay.has_manifest);
+  EXPECT_TRUE(replay.torn);
+  EXPECT_EQ(replay.records, 2u);
+  EXPECT_EQ(replay.valid_bytes, prefix);
+  ASSERT_EQ(replay.results.size(), 1u);
+  EXPECT_EQ(replay.results[0].left, 0u);
+  EXPECT_EQ(replay.results[0].right, 1u);
+
+  checkpoint::Journal::truncate_to_valid(store, "j", replay);
+  const auto again = checkpoint::Journal::replay(store, "j");
+  EXPECT_FALSE(again.torn);
+  EXPECT_EQ(again.records, 2u);
+  EXPECT_EQ(again.valid_bytes, prefix);
+  EXPECT_EQ(again.results.size(), 1u);
 }
 
 // --- bounded kFailed retry: the terminal paths -----------------------------
@@ -1061,9 +1102,9 @@ TEST(MasterFailover, KillMasterMatrixPreservesExactResults) {
       EXPECT_EQ(count, 1) << "pair (" << pair.first << "," << pair.second
                           << ") delivered " << count << " times";
     }
-    EXPECT_GE(outcome.report.master_failovers, 1u)
+    EXPECT_GE(outcome.report.failover.master_failovers, 1u)
         << "somebody must have adopted the master role";
-    EXPECT_GE(outcome.report.node_deaths, 1u);
+    EXPECT_GE(outcome.report.failover.node_deaths, 1u);
     // A batch in flight at the old master when it died was received and
     // ledger-recorded but never delivered, so received may exceed
     // delivered + duplicates — but never the other way around.
@@ -1094,11 +1135,96 @@ TEST(MasterFailover, MasterAndWorkerDeathsSurvivedTogether) {
   EXPECT_EQ(outcome.results, expected);
   EXPECT_EQ(outcome.report.pairs, expected.size());
   for (const auto& [pair, count] : outcome.counts) EXPECT_EQ(count, 1);
-  EXPECT_GE(outcome.report.master_failovers, 1u);
+  EXPECT_GE(outcome.report.failover.master_failovers, 1u);
   // At least the master's death draws a verdict; the worker's may be
   // absorbed silently if the master dies before its lease detector fires
   // (the adopter's conservative full re-grant covers the worker anyway).
-  EXPECT_GE(outcome.report.node_deaths, 1u);
+  EXPECT_GE(outcome.report.failover.node_deaths, 1u);
+}
+
+TEST(MasterFailover, StandbyThenMasterDeathLosesNoPendingPair) {
+  // MeshNodes only, failover on and no ticker, so nothing flushes on a
+  // timer. Node 1 becomes the standby, two accepted pairs wait in the
+  // master's batch, the master declares node 1 dead, then the master
+  // dies. Re-establishing the standby must not mirror the pending pairs
+  // to node 2 without delivering them: node 2 adopts from its mirror and
+  // would count them delivered and never re-grant them (DESIGN.md §14.3).
+  constexpr std::uint32_t kNodes = 3;
+  constexpr dnc::ItemIndex kItems = 8;
+  const auto root = dnc::root_region(kItems);
+  InProcessTransport transport(kNodes);
+  auto done = std::make_shared<std::atomic<bool>>(false);
+  std::mutex mutex;
+  std::vector<dnc::Pair> delivered;  // guarded by mutex
+  std::vector<std::unique_ptr<MeshNode>> nodes;
+  for (NodeId id = 0; id < kNodes; ++id) {
+    MeshNode::Config mc;
+    mc.id = id;
+    mc.failover = true;
+    mc.expected_pairs = dnc::count_pairs(root);
+    mc.ledger_items = kItems;
+    mc.initial_grants = dnc::partition_root(kItems, kNodes, 2);
+    mc.result_batch_pairs = 4;
+    mc.on_result = [&](const PairResult& r) {
+      std::scoped_lock lock(mutex);
+      delivered.push_back(dnc::Pair{r.left, r.right});
+    };
+    nodes.push_back(std::make_unique<MeshNode>(mc, transport, done));
+  }
+  for (auto& node : nodes) node->start();
+
+  const auto await = [](const auto& ready) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!ready()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  };
+  const auto delivered_count = [&] {
+    std::scoped_lock lock(mutex);
+    return delivered.size();
+  };
+
+  // 1. A full batch flushes; its mirror snapshot makes node 1 the standby.
+  ASSERT_TRUE(transport.send(
+      1, MeshNode::kMaster, net::Tag::kResult,
+      ResultMsg{{{0, 1, 1.0}, {0, 2, 1.0}, {0, 3, 1.0}, {0, 4, 1.0}}, {}}));
+  ASSERT_TRUE(await([&] { return delivered_count() == 4; }));
+  // 2. Two more pairs are accepted and wait for the next flush.
+  ASSERT_TRUE(transport.send(2, MeshNode::kMaster, net::Tag::kResult,
+                             ResultMsg{{{1, 2, 1.0}, {1, 3, 1.0}}, {}}));
+  // 3. The master's own verdict on node 1, then the master's death. The
+  // master broadcasts the verdict after re-establishing its standby.
+  ASSERT_TRUE(transport.send(MeshNode::kMaster, MeshNode::kMaster,
+                             net::Tag::kFailover, NodeDown{1, 1}));
+  ASSERT_TRUE(await([&] { return nodes[2]->is_dead(1); }));
+  transport.set_down(MeshNode::kMaster);
+  // 4. Node 2 learns of the master's death and adopts the role.
+  ASSERT_TRUE(transport.send(2, 2, net::Tag::kFailover,
+                             NodeDown{MeshNode::kMaster, 2}));
+  ASSERT_TRUE(await([&] { return nodes[2]->current_master() == 2; }));
+  transport.close();
+  for (auto& node : nodes) node->join();
+
+  // 5. Every pair was delivered once or re-granted by the adopter.
+  PairSet covered;
+  for (const dnc::Pair& p : delivered) {
+    EXPECT_TRUE(covered.insert({p.left, p.right}).second)
+        << "pair (" << p.left << "," << p.right << ") delivered twice";
+  }
+  done->store(true, std::memory_order_release);
+  while (const auto region = nodes[2]->remote_steal(0)) {
+    dnc::for_each_pair(*region, [&](const dnc::Pair& p) {
+      covered.insert({p.left, p.right});
+    });
+  }
+  PairSet all;
+  dnc::for_each_pair(root, [&](const dnc::Pair& p) {
+    all.insert({p.left, p.right});
+  });
+  EXPECT_EQ(covered, all) << "a pair was neither delivered nor re-granted";
 }
 
 TEST(Checkpoint, KillAllThenResumeRoundTrip) {
@@ -1209,8 +1335,8 @@ TEST(MultiPairBatches, WorkerKillPreservesExactResults) {
     const auto outcome = run_durable(in.app, in.store, std::move(schedule),
                                      nullptr, false, /*multi_pair_tiles=*/true);
     expect_exact_batched(outcome, in.expected);
-    EXPECT_GE(outcome.report.node_deaths, 1u);
-    EXPECT_GT(outcome.report.regions_reexecuted, 0u)
+    EXPECT_GE(outcome.report.failover.node_deaths, 1u);
+    EXPECT_GT(outcome.report.failover.regions_reexecuted, 0u)
         << "the kill must land mid-run and orphan work";
     EXPECT_EQ(outcome.report.failover.results_received,
               outcome.report.pairs + outcome.report.duplicate_results_dropped)
@@ -1227,7 +1353,7 @@ TEST(MultiPairBatches, MasterKillPreservesExactResults) {
     const auto outcome = run_durable(in.app, in.store, std::move(schedule),
                                      nullptr, false, /*multi_pair_tiles=*/true);
     expect_exact_batched(outcome, in.expected);
-    EXPECT_GE(outcome.report.master_failovers, 1u)
+    EXPECT_GE(outcome.report.failover.master_failovers, 1u)
         << "the kill must land mid-run and hand the master role over";
     EXPECT_GE(outcome.report.failover.results_received,
               outcome.report.pairs +
@@ -1300,6 +1426,34 @@ TEST(Checkpoint, MismatchedFingerprintStartsFresh) {
   EXPECT_EQ(outcome.report.checkpoint.pairs_recovered, 0u);
   EXPECT_EQ(outcome.results, expected);
   EXPECT_EQ(outcome.report.pairs, expected.size());
+
+  // Plant a journal of THIS run's shape (8 items, 4 nodes, granularity 4,
+  // seed 1) written in the earlier journal format: its manifest carries
+  // that format's fingerprint salt ("rocketjl"), folded the same way.
+  // Resume must reject it too and deliver the full multiset once.
+  std::uint64_t old_fingerprint = mix64(0x726F636B65746A6CULL);
+  for (const std::uint64_t field : {8ull, 4ull, 4ull, 1ull}) {
+    old_fingerprint = mix64(old_fingerprint ^ field);
+  }
+  storage::MemoryStore old_format_store;
+  checkpoint::Manifest same_shape;
+  same_shape.items = 8;
+  same_shape.num_nodes = 4;
+  same_shape.granularity = 4;
+  same_shape.seed = 1;
+  same_shape.expected_pairs = expected.size();
+  same_shape.fingerprint = old_fingerprint;
+  checkpoint::Journal old_format(old_format_store, checkpoint::kJournalName);
+  old_format.start_fresh(same_shape);
+  old_format.append_results({{0, 1, 123.0}});
+
+  const auto fresh =
+      run_durable(app, store, {}, &old_format_store, /*resume=*/true);
+  EXPECT_FALSE(fresh.report.checkpoint.resumed);
+  EXPECT_EQ(fresh.report.checkpoint.pairs_recovered, 0u);
+  EXPECT_EQ(fresh.results, expected);
+  EXPECT_EQ(fresh.report.pairs, expected.size());
+  for (const auto& [pair, count] : fresh.counts) EXPECT_EQ(count, 1);
 }
 
 TEST(ChaosMatrix, FrameCorruptionIsDetectedAndHarmless) {

@@ -318,9 +318,9 @@ TEST(NodeHealth, StragglerIsSuspectedDegradedSpeculatedAndRecovers) {
   EXPECT_TRUE(mesh.await_adoption(1))
       << "a speculated region must reach a healthy node";
 
-  // While the straggler is degraded, node 1's victim sweeps skip it.
+  // While the straggler is degraded, node 1's victim sweeps skip it
+  // (counted below, once the service threads have joined).
   (void)mesh.nodes[1]->remote_steal(0);
-  EXPECT_GT(mesh.nodes[1]->failover_stats().steals_avoided_degraded, 0u);
 
   // Recovery hysteresis: two consecutive healthy intervals above the
   // recover threshold flip node 2 back to alive.
@@ -331,6 +331,10 @@ TEST(NodeHealth, StragglerIsSuspectedDegradedSpeculatedAndRecovers) {
   EXPECT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kAlive);
   EXPECT_TRUE(mesh.await_health(1, 2, NodeHealth::kAlive));
 
+  // failover_stats() is only safe after join(); both reads are
+  // cumulative counters, so they still see the degraded window.
+  mesh.shutdown();
+  EXPECT_GT(mesh.nodes[1]->failover_stats().steals_avoided_degraded, 0u);
   const FailoverStats stats = mesh.nodes[0]->failover_stats();
   EXPECT_GE(stats.nodes_suspected, 1u);
   EXPECT_EQ(stats.nodes_degraded, 1u);

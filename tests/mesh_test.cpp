@@ -323,8 +323,8 @@ TEST(LiveCluster, FourNodeForensicsMatchesSingleNodeExactly) {
     // No faults injected: the failure machinery (heartbeats, leases, the
     // master's ledger) runs but must be invisible — no verdicts, no
     // re-execution, no dropped results.
-    EXPECT_EQ(report.node_deaths, 0u);
-    EXPECT_EQ(report.regions_reexecuted, 0u);
+    EXPECT_EQ(report.failover.node_deaths, 0u);
+    EXPECT_EQ(report.failover.regions_reexecuted, 0u);
     EXPECT_EQ(report.duplicate_results_dropped, 0u);
     EXPECT_EQ(report.failover.results_received, pairs);
 
