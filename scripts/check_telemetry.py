@@ -4,6 +4,7 @@
 Usage:
     check_telemetry.py summary <run_summary.json> [--nodes N]
     check_telemetry.py trace <trace.json> [--nodes N] [--expect-flows]
+                             [--expect-instants NAME[,NAME]]
     check_telemetry.py metrics <metrics.prom>
 
 Checks that a run summary carries the documented rocket.run_summary/1
@@ -11,8 +12,9 @@ schema keys (including the section-16 critical_path block, whose phase
 percentages must sum to 100 +/- 1), that a Chrome trace names one process
 per node with timestamped events on the shared timeline (--expect-flows
 additionally demands matched cross-node "s"/"f" flow-arrow pairs for both
-a peer-fetched and a stolen tile), and that a Prometheus text exposition
-parses. Exits non-zero with a message on the first violation.
+a peer-fetched and a stolen tile; --expect-instants demands an "i" event
+of each named kind), and that a Prometheus text exposition parses. Exits
+non-zero with a message on the first violation.
 """
 
 import argparse
@@ -141,7 +143,7 @@ def check_summary(path, nodes, expect_master_failover=False,
           f"{len(doc['metrics']['histograms'])} histograms)")
 
 
-def check_trace(path, nodes, expect_flows=False):
+def check_trace(path, nodes, expect_flows=False, expect_instants=()):
     doc = json.load(open(path))
     events = doc.get("traceEvents")
     if not isinstance(events, list) or not events:
@@ -163,6 +165,9 @@ def check_trace(path, nodes, expect_flows=False):
     if nodes is not None and len(span_pids) != nodes:
         fail(f"{path}: spans cover {len(span_pids)} nodes, expected {nodes}")
     instants = [e for e in events if e.get("ph") == "i"]
+    missing = sorted(set(expect_instants) - {e.get("name") for e in instants})
+    if missing:
+        fail(f"{path}: no instant ('i') events named {missing}")
     flows_s = {e["id"]: e for e in events if e.get("ph") == "s"}
     flows_f = [e for e in events if e.get("ph") == "f"]
     if expect_flows:
@@ -257,6 +262,10 @@ def main():
                         help="trace only: fail unless matched cross-node "
                              "flow arrows exist for both a peer-fetched "
                              "and a stolen tile")
+    parser.add_argument("--expect-instants", default="",
+                        metavar="NAME[,NAME]",
+                        help="trace only: fail unless an instant ('i') "
+                             "event of each named kind exists")
     parser.add_argument("--expect-master-failover", action="store_true",
                         help="fail unless failover.master_failovers > 0")
     parser.add_argument("--expect-resumed", action="store_true",
@@ -270,7 +279,9 @@ def main():
         check_summary(args.path, args.nodes, args.expect_master_failover,
                       args.expect_resumed, args.expect_speculation)
     elif args.kind == "trace":
-        check_trace(args.path, args.nodes, args.expect_flows)
+        check_trace(args.path, args.nodes, args.expect_flows,
+                    [name for name in args.expect_instants.split(",")
+                     if name])
     else:
         check_metrics(args.path)
 

@@ -10,19 +10,10 @@
 
 #include "common/log.hpp"
 #include "dnc/pair_space.hpp"
-#include "telemetry/trace.hpp"
 
 namespace rocket::mesh {
 
 namespace {
-
-/// Causal-trace timestamps: seconds since the shared process epoch, the
-/// same timeline every SpanRecord lives on (DESIGN.md §16).
-double trace_now() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       telemetry::process_epoch())
-      .count();
-}
 
 /// Regions per node in the static partition; stealing fixes the rest. The
 /// journal manifest and fingerprint record it, so a journal written with
@@ -42,8 +33,7 @@ telemetry::ClusterSnapshot LiveCluster::cluster_snapshot() const {
 LiveCluster::Report LiveCluster::run_all_pairs(
     const runtime::Application& app, storage::ObjectStore& store,
     const runtime::NodeRuntime::ResultFn& on_result) {
-  // Pin the shared trace epoch before any node starts so every node's
-  // lanes and events land on one aligned timeline (DESIGN.md §13).
+  // Pin the shared trace epoch before any node starts (DESIGN.md §13.3).
   telemetry::process_epoch();
   const std::uint32_t p = std::max(1u, config_.num_nodes);
   const std::uint32_t n = app.item_count();
@@ -136,27 +126,21 @@ LiveCluster::Report LiveCluster::run_all_pairs(
   // meshes the master additionally runs the failure model (DESIGN.md §12):
   // the initial partition seeds its re-execution ledger, victims report
   // steal transfers, and heartbeat leases feed its failure detector.
-  // Per-node discrete-event streams (steals, deaths, re-grants), written
-  // by each node's mesh layer and drained into the trace after the mesh
-  // joins (failover events can land after the engine has already
-  // assembled its report). Declared before `meshes` so the logs outlive
-  // the service threads that record into them.
-  std::vector<std::unique_ptr<telemetry::EventLog>> event_logs(p);
-  for (auto& log : event_logs) {
-    log = std::make_unique<telemetry::EventLog>();
-  }
-
-  // Causal tracing (DESIGN.md §16): one span log and one black-box flight
-  // ring per node, shared between the node's mesh layer and its engine.
-  // Same lifetime rule as the event logs — declared before `meshes` so
-  // service threads never outlive their sinks.
+  // The timeline (DESIGN.md §13.3, §16). A traced or sampled run gives
+  // every node one span log, shared between its mesh layer and its
+  // engine: the mesh's instants (steals, deaths, re-grants), plus sampled
+  // spans when sampling. Sampling also arms one black-box flight ring per
+  // node. Declared before `meshes` so service threads never outlive their
+  // sinks. An untraced run allocates and records nothing.
   const bool tracing = config_.trace_sample_n > 0;
   std::vector<std::unique_ptr<telemetry::FlightRecorder>> flights(p);
   std::vector<std::unique_ptr<telemetry::SpanLog>> span_logs(p);
-  if (tracing) {
-    for (NodeId id = 0; id < p; ++id) {
+  for (NodeId id = 0; id < p; ++id) {
+    if (tracing) {
       flights[id] =
           std::make_unique<telemetry::FlightRecorder>(kFlightRecorderEntries);
+    }
+    if (tracing || config_.node.trace) {
       span_logs[id] =
           std::make_unique<telemetry::SpanLog>(id, std::size_t{1} << 14,
                                                flights[id].get());
@@ -196,7 +180,6 @@ LiveCluster::Report LiveCluster::run_all_pairs(
   for (NodeId id = 0; id < p; ++id) {
     MeshNode::Config mc;
     mc.id = id;
-    mc.events = event_logs[id].get();
     mc.spans = span_logs[id].get();
     mc.flight = flights[id].get();
     mc.trace_sample_n = config_.trace_sample_n;
@@ -264,7 +247,7 @@ LiveCluster::Report LiveCluster::run_all_pairs(
   std::vector<runtime::NodeRuntime::Report> node_reports(p);
   std::vector<std::exception_ptr> errors(p);
   const auto wall_start = std::chrono::steady_clock::now();
-  const double trace_window_start = trace_now();
+  const double trace_window_start = telemetry::trace_now();
 
   std::vector<std::thread> node_threads;
   node_threads.reserve(p);
@@ -378,7 +361,7 @@ LiveCluster::Report LiveCluster::run_all_pairs(
   for (auto& mesh : meshes) mesh->join();
   // All recorders are quiescent from here. Un-register the CHECK hook
   // before anything can unwind — it captures this frame.
-  const double trace_window_end = trace_now();
+  const double trace_window_end = telemetry::trace_now();
   if (tracing) set_check_failure_hook(nullptr);
   std::uint64_t spans_aborted = 0;
   for (NodeId id = 0; id < p; ++id) {
@@ -421,14 +404,9 @@ LiveCluster::Report LiveCluster::run_all_pairs(
     report.metrics += node_reports[id].metrics;
     report.metrics += meshes[id]->metrics_snapshot();
     report.node_traffic.push_back(transport.node_counters(id));
-    // Drain the node's event log only now: failover events (death
-    // verdicts, re-grants) can land on service threads after the engine
-    // has assembled its report.
-    if (config_.node.trace) {
-      node_reports[id].trace.events = event_logs[id]->events();
-    }
-    // Re-read causal spans for the same reason: mesh-side closes (steal
-    // serves, the abort sweep above) post-date the engine's copy.
+    // Re-read the span log only now: mesh-side records (failover
+    // instants, steal serves, the abort sweep above) can land on service
+    // threads after the engine has assembled its report.
     if (config_.node.trace && span_logs[id] != nullptr) {
       node_reports[id].trace.causal_spans = span_logs[id]->records();
     }

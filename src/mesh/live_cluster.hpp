@@ -113,10 +113,10 @@ struct LiveClusterConfig {
   /// recorded into the per-node span logs, rendered with cross-node flow
   /// arrows by the TraceExporter, and fed to the critical-path analyzer.
   /// Tracing also arms each node's black-box flight recorder (the last
-  /// 1024 span closes + received messages), dumped to `checkpoint_store`
-  /// as `rocket.flightrec.node<i>` on node death, master failover or
-  /// assertion failure. 0 disables causal tracing entirely; 1 traces
-  /// everything.
+  /// 1024 span log records + received messages), dumped to
+  /// `checkpoint_store` as `rocket.flightrec.node<i>` on node death,
+  /// master failover or assertion failure. 0 disables causal tracing
+  /// entirely; 1 traces everything.
   std::uint32_t trace_sample_n = 0;
 
   // --- durability (DESIGN.md §14) ---

@@ -21,6 +21,8 @@ std::chrono::steady_clock::duration seconds_to_duration(double s) {
       std::chrono::duration<double>(s));
 }
 
+using telemetry::trace_now;
+
 }  // namespace
 
 PeerCacheStats& operator+=(PeerCacheStats& a, const PeerCacheStats& b) {
@@ -55,12 +57,6 @@ FailoverStats& operator+=(FailoverStats& a, const FailoverStats& b) {
 }
 
 // --- causal tracing helpers (DESIGN.md §16) -------------------------------
-
-double MeshNode::trace_now() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       telemetry::process_epoch())
-      .count();
-}
 
 void MeshNode::record_child_span(const telemetry::SpanContext& parent,
                                  std::uint64_t salt,
@@ -398,11 +394,8 @@ void MeshNode::check_fetch_deadlines() {
                                      pending.attempts, item));
         ++stats_.retries;
         fetch_retries_->add();
-        if (cfg_.events != nullptr) {
-          cfg_.events->record(telemetry::EventKind::kFetchRetry,
-                              static_cast<std::uint32_t>(item),
-                              pending.attempts);
-        }
+        record_instant(telemetry::SpanPhase::kFetchRetry,
+                       static_cast<std::uint32_t>(item), pending.attempts);
         retry.emplace_back(item, pending.span);
       } else {
         ++stats_.timeouts;
@@ -591,6 +584,7 @@ std::optional<dnc::Region> MeshNode::remote_steal(std::uint32_t worker) {
       const dnc::Region out = orphans_.front();
       orphans_.pop_front();
       remote_steal_count_.fetch_add(1, std::memory_order_relaxed);
+      record_instant(telemetry::SpanPhase::kRemoteSteal, worker, 1);
       return out;
     }
   }
@@ -600,9 +594,7 @@ std::optional<dnc::Region> MeshNode::remote_steal(std::uint32_t worker) {
     const dnc::Region out = cell.regions.front();
     cell.regions.pop_front();
     remote_steal_count_.fetch_add(1, std::memory_order_relaxed);
-    if (cfg_.events != nullptr) {
-      cfg_.events->record(telemetry::EventKind::kRemoteSteal, worker, 1);
-    }
+    record_instant(telemetry::SpanPhase::kRemoteSteal, worker, 1);
     return out;
   }
   if (global_done()) return std::nullopt;
@@ -681,9 +673,7 @@ std::optional<dnc::Region> MeshNode::remote_steal(std::uint32_t worker) {
     steal_rtt_->record_seconds(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count());
-    if (cfg_.events != nullptr) {
-      cfg_.events->record(telemetry::EventKind::kRemoteSteal, worker, 1);
-    }
+    record_instant(telemetry::SpanPhase::kRemoteSteal, worker, 1);
     return out;
   }
   // Timed out: treat the request as lost so the next attempt may try
@@ -917,12 +907,9 @@ void MeshNode::adopt_master(NodeId dead_master) {
   // it — the old master obviously cannot count its own death.
   ++death_epoch_;
   ++failover_.node_deaths;
-  if (cfg_.events != nullptr) {
-    cfg_.events->record(telemetry::EventKind::kNodeDeath, dead_master,
-                        death_epoch_);
-    cfg_.events->record(telemetry::EventKind::kMasterFailover, cfg_.id,
-                        failover_epoch_);
-  }
+  record_instant(telemetry::SpanPhase::kNodeDeath, dead_master, death_epoch_);
+  record_instant(telemetry::SpanPhase::kMasterFailover, cfg_.id,
+                 failover_epoch_);
   // Rebuild the aggregation state: everything starts as the dead
   // master's lease, then the mirrored + recovered pairs are marked
   // delivered. The mirror equals the dead master's user-delivered set
@@ -1032,10 +1019,8 @@ void MeshNode::on_node_down(const NodeDown& down, NodeId from) {
     // the survivors, then re-grant the dead node's uncompleted lease.
     ++death_epoch_;
     ++failover_.node_deaths;
-    if (cfg_.events != nullptr) {
-      cfg_.events->record(telemetry::EventKind::kNodeDeath, down.node,
-                          death_epoch_);
-    }
+    record_instant(telemetry::SpanPhase::kNodeDeath, down.node,
+                   death_epoch_);
     for (NodeId peer = 0; peer < p; ++peer) {
       if (peer == cfg_.id || dead_[peer].load(std::memory_order_acquire)) {
         continue;
@@ -1082,10 +1067,7 @@ void MeshNode::on_region_grant(const RegionGrant& grant) {
     orphans_.push_back(grant.region);
   }
   ++failover_.regions_adopted;
-  if (cfg_.events != nullptr) {
-    cfg_.events->record(telemetry::EventKind::kRegionAdopt, cfg_.id,
-                        grant.epoch);
-  }
+  record_instant(telemetry::SpanPhase::kRegionAdopt, cfg_.id, grant.epoch);
   wake();
 }
 
@@ -1113,13 +1095,9 @@ NodeId MeshNode::pick_survivor() {
 void MeshNode::regrant_region(const dnc::Region& region) {
   if (dnc::count_pairs(region) == 0) return;
   const NodeId to = pick_survivor();
-  if (cfg_.events != nullptr) {
-    const std::uint64_t pairs = dnc::count_pairs(region);
-    cfg_.events->record(
-        telemetry::EventKind::kRegionRegrant, to,
-        static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(pairs, UINT32_MAX)));
-  }
+  record_instant(telemetry::SpanPhase::kRegionRegrant, to,
+                 static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                     dnc::count_pairs(region), UINT32_MAX)));
   regrant_region_to(region, to);
 }
 
@@ -1155,6 +1133,7 @@ void MeshNode::regrant_region_to(const dnc::Region& region, NodeId to) {
     orphans_.push_back(region);
   }
   ++failover_.regions_adopted;
+  record_instant(telemetry::SpanPhase::kRegionAdopt, cfg_.id, death_epoch_);
   wake();
 }
 
@@ -1302,9 +1281,7 @@ void MeshNode::evaluate_health() {
           h.below = 1;
           ++failover_.nodes_suspected;
           set_health(k, NodeHealth::kSuspected);
-          if (cfg_.events != nullptr) {
-            cfg_.events->record(telemetry::EventKind::kNodeSuspected, k);
-          }
+          record_instant(telemetry::SpanPhase::kNodeSuspected, k);
         }
         break;
       case NodeHealth::kSuspected:
@@ -1313,9 +1290,7 @@ void MeshNode::evaluate_health() {
             h.above = 0;
             ++failover_.nodes_degraded;
             set_health(k, NodeHealth::kDegraded);
-            if (cfg_.events != nullptr) {
-              cfg_.events->record(telemetry::EventKind::kNodeDegraded, k);
-            }
+            record_instant(telemetry::SpanPhase::kNodeDegraded, k);
             speculate_for(k);
           }
         } else {
@@ -1332,9 +1307,7 @@ void MeshNode::evaluate_health() {
             h.above = 0;
             ++failover_.nodes_recovered;
             set_health(k, NodeHealth::kAlive);
-            if (cfg_.events != nullptr) {
-              cfg_.events->record(telemetry::EventKind::kNodeRecovered, k);
-            }
+            record_instant(telemetry::SpanPhase::kNodeRecovered, k);
           }
         } else {
           // Still degraded: the drain pass above keeps peeling its
@@ -1396,12 +1369,9 @@ void MeshNode::speculate_for(NodeId node) {
     if (to == node) break;  // nobody healthy to speculate on
     ++failover_.regions_speculated;
     failover_.pairs_speculated += pairs;
-    if (cfg_.events != nullptr) {
-      cfg_.events->record(
-          telemetry::EventKind::kRegionSpeculated, to,
-          static_cast<std::uint32_t>(
-              std::min<std::uint64_t>(pairs, UINT32_MAX)));
-    }
+    record_instant(telemetry::SpanPhase::kRegionSpeculated, to,
+                   static_cast<std::uint32_t>(
+                       std::min<std::uint64_t>(pairs, UINT32_MAX)));
     regrant_region_to(region, to);
     ++granted;
   }

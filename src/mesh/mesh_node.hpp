@@ -34,6 +34,11 @@
 // peer can stall it), and remote_steal waits on its reply with a timeout.
 // Together with the rule that the service thread only ever blocks on its
 // own inbox, this is the mesh's deadlock-freedom argument (DESIGN.md §9).
+//
+// The mesh's discrete decisions — steals, death verdicts, re-grants,
+// adoptions, failovers, health verdicts — are instants in the node's span
+// log (DESIGN.md §13.3), recorded wherever their FailoverStats or steal
+// counter counts, so a trace holds one instant per count.
 
 #include <atomic>
 #include <condition_variable>
@@ -59,7 +64,7 @@
 #include "steal/executor.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/snapshot.hpp"
-#include "telemetry/trace.hpp"
+#include "telemetry/span.hpp"
 
 namespace rocket::mesh {
 
@@ -148,14 +153,11 @@ class MeshNode final : public runtime::PeerFetchClient {
     /// node goes through the same path). 0 disables the stream.
     double snapshot_interval_s = 0.0;
 
-    /// Optional sink for discrete trace events (steals, deaths, region
-    /// re-grants); owned by the caller, may be null.
-    telemetry::EventLog* events = nullptr;
+    // --- timeline: instants and causal tracing (DESIGN.md §13.3, §16) ---
 
-    // --- causal tracing (DESIGN.md §16) ---
-
-    /// Sampled-span sink shared with this node's runtime; null disables
-    /// causal tracing at the mesh layer.
+    /// Span log shared with this node's runtime: the mesh's instants
+    /// (steals, deaths, re-grants, health verdicts) and, with
+    /// trace_sample_n > 0, its sampled spans. Null records nothing.
     telemetry::SpanLog* spans = nullptr;
 
     /// Black-box ring of recent span/transport events, dumped to the
@@ -435,9 +437,6 @@ class MeshNode final : public runtime::PeerFetchClient {
     return cfg_.spans != nullptr && cfg_.trace_sample_n > 0;
   }
 
-  /// Seconds since the process trace epoch (the span timeline).
-  static double trace_now();
-
   /// Root context for a mesh-originated trace (steal, grant, deliver),
   /// deterministically sampled by `key` under the node seed.
   telemetry::SpanContext mesh_trace(std::uint64_t key) const {
@@ -450,6 +449,12 @@ class MeshNode final : public runtime::PeerFetchClient {
   void record_child_span(const telemetry::SpanContext& parent,
                          std::uint64_t salt, telemetry::SpanPhase phase,
                          double start, double end);
+
+  /// Record an instant on this node's span log, if it has one.
+  void record_instant(telemetry::SpanPhase phase, std::uint32_t a,
+                      std::uint32_t b = 0) {
+    if (cfg_.spans != nullptr) cfg_.spans->instant(phase, a, b);
+  }
 
   static constexpr NodeId kNoNode = ~NodeId{0};
 

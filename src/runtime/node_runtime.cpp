@@ -21,6 +21,7 @@ namespace {
 using Task = std::function<void()>;
 using Grant = cache::SlotCache::Grant;
 using Outcome = cache::SlotCache::Outcome;
+using telemetry::trace_now;
 
 /// Batch size for worker drains: one lock acquisition hands a worker up to
 /// this many tasks (tasks are short; larger batches only add latency).
@@ -50,14 +51,6 @@ void retry_backoff(std::uint32_t attempt) {
   // pure function of the retry count (deterministic for tests).
   constexpr BackoffPolicy kGrantRetry{8e-6, 1e-3, 0.25, 7};
   kGrantRetry.sleep_for(attempt, attempt);
-}
-
-/// Causal-trace timestamps live on the shared cluster timeline (seconds
-/// since telemetry::process_epoch(), DESIGN.md §16).
-double trace_now() {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       telemetry::process_epoch())
-      .count();
 }
 
 /// Sampling key of a tile: a hash of its region identity, so the sampled
@@ -120,6 +113,7 @@ struct Engine {
   storage::ObjectStore& store;
   const NodeRuntime::BatchFn& on_batch;
   Profiler profiler;
+  const double t_started = trace_now();  // NodeStats::uptime_seconds
 
   /// Hot-seam instruments (DESIGN.md §13). Recording is lock-free (striped
   /// atomics) and cheap-exits when Config::telemetry is off; the pointers
@@ -307,7 +301,7 @@ telemetry::NodeStats Engine::live_stats() const {
     ++stats.lanes;
     stats.busy_seconds += busy;
   }
-  stats.uptime_seconds = profiler.seconds_since_epoch(Profiler::Clock::now());
+  stats.uptime_seconds = trace_now() - t_started;
   return stats;
 }
 
@@ -1211,18 +1205,13 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
   report.metrics = eng.metrics.snapshot();
   report.spans_dropped = eng.profiler.spans_dropped();
   if (config_.trace) {
-    // Pin this node's lanes to the shared process epoch so multi-node
-    // traces land on one aligned timeline (DESIGN.md §13).
-    report.trace.epoch_offset_s =
-        std::chrono::duration<double>(eng.profiler.epoch() -
-                                      telemetry::process_epoch())
-            .count();
     report.trace.lanes = eng.profiler.lanes_view();
     report.trace.spans_dropped = report.spans_dropped;
     if (config_.span_log != nullptr) {
-      // Mesh-side spans (steal serves, late result hops) may land after
-      // this snapshot; LiveCluster re-reads the shared log once every
-      // node has joined. This copy keeps the single-node path complete.
+      // Mesh-side records (steal serves, late result hops, failover
+      // instants) may land after this snapshot; LiveCluster re-reads the
+      // shared log once every node has joined. This copy keeps the
+      // single-node path complete.
       report.trace.causal_spans = config_.span_log->records();
     }
   }

@@ -224,7 +224,7 @@ class NodeRuntime {
     /// Hot-seam latency histograms + counters/gauges (DESIGN.md §13);
     /// empty instruments when Config::telemetry is off.
     telemetry::MetricsSnapshot metrics;
-    /// Chrome-trace input (lanes + epoch offset) when Config::trace.
+    /// Chrome-trace input (lanes + span log) when Config::trace.
     telemetry::NodeTrace trace;
     /// Spans discarded at the profiler's per-lane cap
     /// (Profiler::kDefaultSpanCap).

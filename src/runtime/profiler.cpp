@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/log.hpp"
+#include "telemetry/span.hpp"
 
 namespace rocket::runtime {
 
@@ -37,17 +39,18 @@ void Profiler::record(std::size_t lane, TaskKind kind, Clock::time_point start,
                       Clock::time_point end) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
   if (lane >= lane_count_.load(std::memory_order_acquire)) return;
-  const double t0 = seconds_since_epoch(start);
-  const double t1 = seconds_since_epoch(end);
   Lane& l = lanes_[lane];
-  l.busy.fetch_add(t1 - t0, std::memory_order_relaxed);
+  l.busy.fetch_add(std::chrono::duration<double>(end - start).count(),
+                   std::memory_order_relaxed);
   if (!trace_) return;
+  const Span span{kind, telemetry::trace_time(start),
+                  telemetry::trace_time(end)};
   std::scoped_lock lock(mutex_);
   if (l.spans.size() >= span_cap_) {
     spans_dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  l.spans.push_back(Span{kind, t0, t1});
+  l.spans.push_back(span);
 }
 
 std::vector<std::pair<std::string, double>> Profiler::busy_per_lane() const {
@@ -66,27 +69,18 @@ double Profiler::lane_busy_seconds(std::size_t lane) const {
   return lanes_[lane].busy.load(std::memory_order_relaxed);
 }
 
-double Profiler::busy_for_kind(TaskKind kind) const {
-  const std::size_t n = lane_count_.load(std::memory_order_acquire);
-  std::scoped_lock lock(mutex_);
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& span : lanes_[i].spans) {
-      if (span.kind == kind) total += span.end - span.start;
-    }
-  }
-  return total;
-}
-
 std::string Profiler::render_timeline(std::size_t width) const {
   const std::size_t n = lane_count_.load(std::memory_order_acquire);
   std::scoped_lock lock(mutex_);
-  double horizon = 0.0;
+  double origin = std::numeric_limits<double>::infinity();
+  double last = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     for (const auto& span : lanes_[i].spans) {
-      horizon = std::max(horizon, span.end);
+      origin = std::min(origin, span.start);
+      last = std::max(last, span.end);
     }
   }
+  const double horizon = last - origin;
   if (horizon <= 0.0 || width == 0) return "(no trace)\n";
 
   static constexpr char kGlyphs[] = {'I', 'P', '>', 'R', 'C', '<', 'T', '~', '.'};
@@ -99,8 +93,10 @@ std::string Profiler::render_timeline(std::size_t width) const {
     const Lane& lane = lanes_[i];
     std::string row(width, ' ');
     for (const auto& span : lane.spans) {
-      auto lo = static_cast<std::size_t>(span.start / horizon * width);
-      auto hi = static_cast<std::size_t>(std::ceil(span.end / horizon * width));
+      auto lo =
+          static_cast<std::size_t>((span.start - origin) / horizon * width);
+      auto hi = static_cast<std::size_t>(
+          std::ceil((span.end - origin) / horizon * width));
       lo = std::min(lo, width - 1);
       hi = std::clamp<std::size_t>(hi, lo + 1, width);
       for (std::size_t k = lo; k < hi; ++k) {

@@ -5,6 +5,8 @@
 // spans (kind + start/end). The profiler renders an ASCII timeline, feeds
 // the telemetry layer's Chrome-trace exporter (DESIGN.md §13), and
 // aggregates busy time per lane — the live counterpart of Fig 8's bars.
+// Spans are stamped on the process timeline (telemetry::trace_time), the
+// one clock of every node's span log too, so lanes need no offset.
 //
 // Memory is bounded: each lane retains at most the constructor's span cap
 // (overflow is counted in spans_dropped(), never allocated), and busy
@@ -49,7 +51,7 @@ class Profiler {
 
   struct Span {
     TaskKind kind;
-    double start;  // seconds since profiler epoch
+    double start;  // seconds since telemetry::process_epoch()
     double end;
   };
 
@@ -64,8 +66,7 @@ class Profiler {
   explicit Profiler(bool trace = true,
                     std::size_t max_spans_per_lane = kDefaultSpanCap)
       : trace_(trace),
-        span_cap_(max_spans_per_lane == 0 ? SIZE_MAX : max_spans_per_lane),
-        epoch_(Clock::now()) {}
+        span_cap_(max_spans_per_lane == 0 ? SIZE_MAX : max_spans_per_lane) {}
 
   /// Register a lane (thread); returns its id. Thread-safe. Lanes must be
   /// registered before other threads record to them (the runtime registers
@@ -76,14 +77,6 @@ class Profiler {
   /// on (busy time is a relaxed atomic add; span retention locks).
   void record(std::size_t lane, TaskKind kind, Clock::time_point start,
               Clock::time_point end);
-
-  double seconds_since_epoch(Clock::time_point t) const {
-    return std::chrono::duration<double>(t - epoch_).count();
-  }
-
-  /// The steady-clock origin of every span in this profiler; the trace
-  /// exporter aligns multiple nodes' timelines by their epoch offsets.
-  Clock::time_point epoch() const { return epoch_; }
 
   /// Span retention on/off (construction-time; busy accounting is
   /// independent of it).
@@ -108,11 +101,8 @@ class Profiler {
   /// busy time.
   double lane_busy_seconds(std::size_t lane) const;
 
-  /// Total busy seconds for a task kind across lanes (trace-on only: it
-  /// sums retained spans).
-  double busy_for_kind(TaskKind kind) const;
-
-  /// ASCII timeline (Fig 6 style): one row per lane, `width` buckets.
+  /// ASCII timeline (Fig 6 style): one row per lane, `width` buckets
+  /// from the earliest retained span to the latest end.
   std::string render_timeline(std::size_t width = 80) const;
 
   /// Snapshot copy of every lane (name, busy, retained spans).
@@ -137,7 +127,6 @@ class Profiler {
   std::atomic<bool> enabled_{true};
   std::atomic<std::size_t> lane_count_{0};
   std::atomic<std::uint64_t> spans_dropped_{0};
-  Clock::time_point epoch_;
   mutable std::mutex mutex_;  // add_lane + span vectors
   std::unique_ptr<Lane[]> lanes_{new Lane[kMaxLanes]};
 };

@@ -30,8 +30,7 @@ PathPhase path_phase_of(SpanPhase phase) {
     case SpanPhase::kLoadWait: return PathPhase::kLoad;
     case SpanPhase::kDeliver: return PathPhase::kDeliver;
     case SpanPhase::kGatePark: return PathPhase::kGatePark;
-    case SpanPhase::kTile:
-    case SpanPhase::kCount: break;
+    default: break;  // tile containers and instants carry no work
   }
   return PathPhase::kIdle;
 }
@@ -43,7 +42,9 @@ CriticalPathReport analyze_critical_path(const std::vector<SpanRecord>& spans,
   CriticalPathReport report;
   const double window = window_end - window_start;
   report.window_seconds = window > 0.0 ? window : 0.0;
-  report.spans_analyzed = spans.size();
+  report.spans_analyzed = static_cast<std::size_t>(
+      std::count_if(spans.begin(), spans.end(),
+                    [](const SpanRecord& span) { return !span.instant(); }));
 
   // Sweep: +1/-1 edges per attribution category, clamped to the window.
   // Between consecutive edges the active set is constant; the segment goes

@@ -35,8 +35,9 @@ constexpr std::size_t kPathPhases =
 
 const char* path_phase_name(PathPhase phase);
 
-/// Category of a span phase. kTile spans are containers, not work — they
-/// map to kIdle and are excluded from attribution.
+/// Category of a span phase. kTile spans are containers, not work, and
+/// instants have no width — both map to kIdle and are excluded from
+/// attribution.
 PathPhase path_phase_of(SpanPhase phase);
 
 struct PhaseShare {
@@ -63,8 +64,9 @@ struct CriticalPathReport {
 };
 
 /// Walk the merged span set over [window_start, window_end] (seconds on
-/// the process timeline). Spans outside the window are clamped; an empty
-/// window or span set yields a report that is 100% idle.
+/// the process timeline). Spans outside the window are clamped; instants
+/// are ignored (spans_analyzed counts spans only); an empty window or
+/// span set yields a report that is 100% idle.
 CriticalPathReport analyze_critical_path(
     const std::vector<SpanRecord>& spans, double window_start,
     double window_end, std::size_t top_k = 5);

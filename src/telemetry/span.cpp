@@ -2,13 +2,19 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <utility>
 
-#include "telemetry/trace.hpp"
-
 namespace rocket::telemetry {
+
+std::chrono::steady_clock::time_point process_epoch() {
+  static const auto epoch = std::chrono::steady_clock::now();
+  return epoch;
+}
+
+double trace_time(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration<double>(t - process_epoch()).count();
+}
 
 std::uint64_t span_mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -53,6 +59,16 @@ const char* span_phase_name(SpanPhase phase) {
     case SpanPhase::kSteal: return "steal";
     case SpanPhase::kStealServe: return "steal.serve";
     case SpanPhase::kGrant: return "region.grant";
+    case SpanPhase::kRemoteSteal: return "remote_steal";
+    case SpanPhase::kNodeDeath: return "node_death";
+    case SpanPhase::kRegionRegrant: return "region_regrant";
+    case SpanPhase::kRegionAdopt: return "region_adopt";
+    case SpanPhase::kFetchRetry: return "fetch_retry";
+    case SpanPhase::kMasterFailover: return "master_failover";
+    case SpanPhase::kNodeSuspected: return "node_suspected";
+    case SpanPhase::kNodeDegraded: return "node_degraded";
+    case SpanPhase::kNodeRecovered: return "node_recovered";
+    case SpanPhase::kRegionSpeculated: return "region_speculated";
     case SpanPhase::kCount: break;
   }
   return "?";
@@ -72,10 +88,12 @@ void SpanLog::append_locked(const SpanRecord& span) {
     records_.push_back(span);
   }
   if (flight_ != nullptr) {
-    flight_->record(static_cast<std::uint16_t>(span.phase), node_,
-                    span.ctx.trace_id, span.ctx.span_id,
-                    static_cast<std::uint64_t>(span.start * 1e6),
-                    static_cast<std::uint64_t>(span.end * 1e6));
+    const bool instant = span.instant();
+    flight_->record(
+        static_cast<std::uint16_t>(span.phase), node_, span.ctx.trace_id,
+        span.ctx.span_id,
+        instant ? span.a : static_cast<std::uint64_t>(span.start * 1e6),
+        instant ? span.b : static_cast<std::uint64_t>(span.end * 1e6));
   }
 }
 
@@ -95,6 +113,17 @@ void SpanLog::record(const SpanContext& ctx, SpanPhase phase, double start,
   span.end = end;
   span.aborted = aborted;
   record(span);
+}
+
+void SpanLog::instant(SpanPhase phase, std::uint32_t a, std::uint32_t b) {
+  SpanRecord span;
+  span.phase = phase;
+  span.node = node_;
+  span.start = span.end = trace_now();
+  span.a = a;
+  span.b = b;
+  std::scoped_lock lock(mutex_);
+  append_locked(span);
 }
 
 void SpanLog::open(const SpanContext& ctx, SpanPhase phase, double start) {
@@ -175,9 +204,7 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
 void FlightRecorder::record(std::uint16_t kind, std::uint32_t node,
                             std::uint64_t trace_id, std::uint64_t span_id,
                             std::uint64_t a, std::uint64_t b) noexcept {
-  const auto now = std::chrono::steady_clock::now();
-  const double t =
-      std::chrono::duration<double>(now - process_epoch()).count();
+  const double t = trace_now();
   const std::uint64_t index =
       cursor_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[index & (slots_.size() - 1)];

@@ -1,16 +1,21 @@
 #pragma once
 
-// Causal distributed tracing (DESIGN.md §16): Dapper-style span contexts
-// propagated through every cross-node message in a tile's life, a per-node
-// span log recording the tile lifecycle as a DAG, and a lock-free black-box
-// flight recorder whose last-K ring survives to the checkpoint store when a
-// node dies.
+// The node's timeline (DESIGN.md §13.3, §16): one clock, the process
+// epoch; a per-node span log holding both sampled causal spans and
+// instants; and a lock-free black-box flight recorder whose last-K ring
+// survives to the checkpoint store when a node dies.
 //
-// Sampling is deterministic: whether a tile (or item, or steal) is traced
-// is a pure function of its identity and the run seed, so a replayed run
-// samples exactly the same population and traces line up byte-for-byte.
+// Spans are Dapper-style: their contexts propagate through every
+// cross-node message in a tile's life, so the log records the tile
+// lifecycle as a DAG. Sampling is deterministic: whether a tile (or item,
+// or steal) is traced is a pure function of its identity and the run
+// seed, so a replayed run samples exactly the same population and traces
+// line up byte-for-byte. Instants are the mesh's discrete scheduling and
+// failover decisions (steals, deaths, re-grants): zero-width records with
+// no sampled context, logged whenever the node has a span log.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -18,6 +23,19 @@
 #include <vector>
 
 namespace rocket::telemetry {
+
+/// Origin of the one timeline (steady clock). The first caller pins it;
+/// LiveCluster pins it before any node starts.
+std::chrono::steady_clock::time_point process_epoch();
+
+/// Seconds since process_epoch() at steady-clock time `t`: the stamp of
+/// every timeline record — profiler lanes, spans, instants and flight
+/// entries.
+double trace_time(std::chrono::steady_clock::time_point t);
+
+inline double trace_now() {
+  return trace_time(std::chrono::steady_clock::now());
+}
 
 /// The context that rides on cross-node messages. trace_id == 0 means
 /// "not sampled" — every propagation site checks sampled() and pays
@@ -47,9 +65,11 @@ SpanContext make_trace(std::uint64_t seed, std::uint64_t key,
 /// identical ids from the propagated context.
 SpanContext child_of(const SpanContext& parent, std::uint64_t salt);
 
-/// Span vocabulary of the tile DAG (DESIGN.md §16). kTile is the root;
-/// the rest are children, some recorded on a remote node (kPeerServe,
-/// kStealServe, kGrant cross the wire via the propagated context).
+/// Timeline vocabulary. The span phases form the tile DAG (DESIGN.md
+/// §16): kTile is the root; the rest are children, some recorded on a
+/// remote node (kPeerServe, kStealServe, kGrant cross the wire via the
+/// propagated context). The instant kinds after them carry two arguments,
+/// a and b, as noted per kind.
 enum class SpanPhase : std::uint8_t {
   kTile = 0,       // grant/submit -> results delivered
   kLoadWait,       // submit -> working set resident
@@ -61,13 +81,25 @@ enum class SpanPhase : std::uint8_t {
   kSteal,          // thief side of a cross-node steal round trip
   kStealServe,     // victim side: region exported to the thief
   kGrant,          // master re-grant / recipient adoption
+  // --- instants ---
+  kRemoteSteal,       // a: worker, b: 1 = got a region
+  kNodeDeath,         // a: dead node, b: death epoch
+  kRegionRegrant,     // a: survivor granted to, b: pairs (saturated)
+  kRegionAdopt,       // a: adopting node, b: grant epoch
+  kFetchRetry,        // a: item id, b: attempt (peer fetch retransmitted)
+  kMasterFailover,    // a: adopting node, b: failover epoch (§14)
+  kNodeSuspected,     // a: node below the health rate threshold (§15)
+  kNodeDegraded,      // a: node confirmed as a straggler
+  kNodeRecovered,     // a: node back above the recovery threshold
+  kRegionSpeculated,  // a: healthy node granted to, b: pairs (saturated)
   kCount
 };
 
 const char* span_phase_name(SpanPhase phase);
 
-/// One closed span on the shared cluster timeline (seconds since
-/// telemetry::process_epoch(), same clock as TraceEvent).
+/// One record on the shared timeline (seconds since process_epoch()):
+/// a closed span of a sampled trace, or an instant — start == end, no
+/// sampled context, and per-kind arguments in a/b.
 struct SpanRecord {
   SpanContext ctx;
   SpanPhase phase = SpanPhase::kTile;
@@ -75,23 +107,34 @@ struct SpanRecord {
   double start = 0.0;
   double end = 0.0;
   bool aborted = false;  // closed forcibly (node death, shutdown)
+  std::uint32_t a = 0;   // instant arguments (see SpanPhase)
+  std::uint32_t b = 0;
+
+  bool instant() const { return !ctx.sampled(); }
 };
 
 class FlightRecorder;
 
-/// Per-node log of sampled spans. Closed spans append under a mutex (the
-/// sampled population is small by construction); open() / close() track
-/// in-flight spans so chaos tests can assert nothing leaks — abort_open()
-/// closes every straggler with the aborted flag at teardown.
+/// Per-node log of sampled spans and instants. Records append under a
+/// mutex (the sampled population is small by construction, and instants
+/// are rare — steals, deaths, re-grants, never per pair); open() /
+/// close() track in-flight spans so chaos tests can assert nothing leaks
+/// — abort_open() closes every straggler with the aborted flag at
+/// teardown. Every record is teed into the flight recorder, if any.
 class SpanLog {
  public:
   explicit SpanLog(std::uint32_t node, std::size_t capacity = 1 << 14,
                    FlightRecorder* flight = nullptr);
 
-  /// Append a closed span. Drops (and counts) past capacity.
+  /// Append a closed span of a sampled context (unsampled: no-op). Drops
+  /// (and counts) past capacity.
   void record(SpanRecord span);
   void record(const SpanContext& ctx, SpanPhase phase, double start,
               double end, bool aborted = false);
+
+  /// Append an instant stamped now. Needs no sampled context; shares the
+  /// capacity and drop counter with spans.
+  void instant(SpanPhase phase, std::uint32_t a, std::uint32_t b = 0);
 
   /// Track an in-flight span; close() completes it by span id. close()
   /// on an unknown id is a no-op returning false (the opener died and
@@ -127,10 +170,10 @@ class SpanLog {
   std::uint64_t aborted_ = 0;
 };
 
-/// One black-box entry. kind < SpanPhase::kCount is a span close (a/b
-/// carry start/end as microseconds); kind >= kFlightMessageBase is a
-/// received transport message (kind - base == the MessageBody variant
-/// index, a == sender).
+/// One black-box entry. kind < SpanPhase::kCount is a span log record:
+/// for a span close a/b carry start/end as microseconds, for an instant
+/// its arguments. kind >= kFlightMessageBase is a received transport
+/// message (kind - base == the MessageBody variant index, a == sender).
 struct FlightRecord {
   double t = 0.0;  // seconds since process_epoch()
   std::uint32_t node = 0;

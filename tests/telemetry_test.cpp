@@ -1,12 +1,14 @@
-// Telemetry layer tests (DESIGN.md §13): histogram bucket math and merge
-// associativity, lock-free concurrent accumulation (run under TSAN in
-// CI), the snapshot message's transport round trip, live cluster
-// snapshot streaming, the Chrome-trace exporter's epoch alignment, the
-// run-summary JSON shape, the profiler's span-retention cap, and the
+// Telemetry layer tests (DESIGN.md §13, §16): histogram bucket math and
+// merge associativity, lock-free concurrent accumulation (run under TSAN
+// in CI), the snapshot message's transport round trip, live cluster
+// snapshot streaming, the Chrome-trace exporter's one timeline, the
+// run-summary JSON shape, the profiler's span-retention cap, span logs,
+// instants and flight dumps, critical-path attribution, and the
 // ROCKET_LOG_LEVEL parser.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <string>
@@ -259,16 +261,21 @@ TEST(TraceExporter, AlignsNodesOnOneTimeline) {
   using runtime::Profiler;
   using runtime::TaskKind;
 
+  // Lanes and span-log records of every node share one clock, seconds
+  // since the process epoch: no per-node offset exists.
   NodeTrace n0;
-  n0.epoch_offset_s = 0.0;
   n0.lanes.push_back(Profiler::LaneView{
       "gpu0", 0.002, {{TaskKind::kCompare, 0.001, 0.003}}});
-  n0.events.push_back(TraceEvent{EventKind::kNodeDeath, 0.004, 2, 1});
+  SpanRecord death;  // an instant: no sampled context
+  death.phase = SpanPhase::kNodeDeath;
+  death.start = death.end = 0.004;
+  death.a = 2;
+  death.b = 1;
+  n0.causal_spans.push_back(death);
 
   NodeTrace n1;
-  n1.epoch_offset_s = 0.010;  // started 10 ms after the process epoch
   n1.lanes.push_back(Profiler::LaneView{
-      "gpu0", 0.001, {{TaskKind::kIo, 0.001, 0.002}}});
+      "gpu0", 0.001, {{TaskKind::kIo, 0.011, 0.012}}});
 
   TraceExporter exporter;
   exporter.add_node(0, n0);
@@ -279,10 +286,11 @@ TEST(TraceExporter, AlignsNodesOnOneTimeline) {
   EXPECT_NE(json.find("\"node 0\""), std::string::npos);
   EXPECT_NE(json.find("\"node 1\""), std::string::npos);
   EXPECT_NE(json.find("\"node_death\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"a\":2,\"b\":1}"), std::string::npos);
   EXPECT_NE(json.find("\"compare\""), std::string::npos);
-  // Node 0's span starts at 1 ms on the shared timeline; node 1's io span
-  // starts at its epoch offset + 1 ms = 11 ms. Timestamps are written in
-  // microseconds.
+  // Node 0's span starts at 1 ms on the shared timeline and node 1's io
+  // span at 11 ms. Timestamps are written in microseconds.
   EXPECT_NE(json.find("\"ts\":1000,"), std::string::npos);
   EXPECT_NE(json.find("\"ts\":11000,"), std::string::npos);
   // Balanced JSON at the macro level.
@@ -292,13 +300,23 @@ TEST(TraceExporter, AlignsNodesOnOneTimeline) {
             std::count(json.begin(), json.end(), ']'));
 }
 
-TEST(EventLog, CapsAndCounts) {
-  EventLog log(4);
-  for (int i = 0; i < 10; ++i) {
-    log.record(EventKind::kRemoteSteal, static_cast<std::uint32_t>(i));
+TEST(SpanLog, InstantsNeedNoSampledContextAndShareTheCap) {
+  SpanLog log(0, /*capacity=*/4);
+  for (int i = 0; i < 2; ++i) {
+    log.record(make_trace(1, static_cast<std::uint64_t>(i), 1),
+               SpanPhase::kCompute, 0.0, 1.0);
   }
-  EXPECT_EQ(log.events().size(), 4u);
+  for (int i = 0; i < 8; ++i) {
+    log.instant(SpanPhase::kRemoteSteal, static_cast<std::uint32_t>(i));
+  }
+  const auto records = log.records();
+  ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(log.dropped(), 6u);
+  EXPECT_FALSE(records[1].instant());
+  EXPECT_TRUE(records[2].instant());
+  EXPECT_EQ(records[2].phase, SpanPhase::kRemoteSteal);
+  EXPECT_EQ(records[3].a, 1u);
+  EXPECT_EQ(records[3].start, records[3].end);
 }
 
 // --- run summary ----------------------------------------------------------
@@ -474,14 +492,21 @@ TEST(FlightRecorder, SpanLogTeesClosesIntoTheRing) {
   SpanLog log(1, 64, &ring);
   const auto ctx = make_trace(3, 5, 1);
   log.record(ctx, SpanPhase::kCompute, 0.25, 0.75);
+  log.instant(SpanPhase::kMasterFailover, 2, 7);
   const auto dump = ring.dump();
-  ASSERT_EQ(dump.size(), 1u);
+  ASSERT_EQ(dump.size(), 2u);
   EXPECT_EQ(dump[0].kind,
             static_cast<std::uint16_t>(SpanPhase::kCompute));
   EXPECT_EQ(dump[0].node, 1u);
   EXPECT_EQ(dump[0].trace_id, ctx.trace_id);
   EXPECT_EQ(dump[0].a, 250000u);  // start in µs
   EXPECT_EQ(dump[0].b, 750000u);  // end in µs
+  // An instant's entry carries its arguments instead.
+  EXPECT_EQ(dump[1].kind,
+            static_cast<std::uint16_t>(SpanPhase::kMasterFailover));
+  EXPECT_EQ(dump[1].trace_id, 0u);
+  EXPECT_EQ(dump[1].a, 2u);
+  EXPECT_EQ(dump[1].b, 7u);
 }
 
 TEST(CriticalPath, HighestPriorityPhaseWinsAndIdleIsRemainder) {
@@ -587,7 +612,6 @@ TEST(TraceExporter, EmitsCausalSpansWithCrossNodeFlowArrows) {
   const auto serve = child_of(root, 0x73657276);
 
   NodeTrace n0;  // requester: opens the peer.fetch root
-  n0.epoch_offset_s = 0.0;
   SpanRecord fetch;
   fetch.ctx = root;
   fetch.phase = SpanPhase::kPeerFetch;
@@ -597,7 +621,6 @@ TEST(TraceExporter, EmitsCausalSpansWithCrossNodeFlowArrows) {
   n0.causal_spans.push_back(fetch);
 
   NodeTrace n1;  // server: records the serve child of the propagated ctx
-  n1.epoch_offset_s = 0.0;
   SpanRecord served;
   served.ctx = serve;
   served.phase = SpanPhase::kPeerServe;
@@ -740,6 +763,99 @@ TEST(LiveCluster, ResultDeliveryArrowsHangOffTheTileDag) {
   // node 1 executed.
   EXPECT_GT(report.nodes[1].tiles, 0u);
   EXPECT_EQ(arrows, report.nodes[1].tiles);
+}
+
+// A traced run logs every instant where its counter counts, sampling or
+// not: one node_death per death verdict, one region_adopt per adopted
+// region (the master adopting one itself included), and on each node one
+// remote_steal per region its workers got from the mesh (orphan pickups
+// included). Instants are not spans: the critical path analyzes none.
+TEST(LiveCluster, InstantsMatchTheirCounters) {
+  storage::MemoryStore store;
+  apps::ForensicsConfig fc;
+  fc.cameras = 4;
+  fc.images_per_camera = 5;
+  fc.width = 48;
+  fc.height = 40;
+  fc.seed = 17;
+  apps::ForensicsDataset dataset(fc, store);
+  apps::ForensicsApplication app(dataset);
+
+  mesh::LiveClusterConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.node.host_cache_capacity = 8_MiB;
+  cfg.node.cpu_threads = 2;
+  cfg.node.trace = true;  // no sampling: the span logs hold instants only
+  cfg.heartbeat_interval_s = 0.005;
+  cfg.lease_timeout_s = 0.05;
+  cfg.fetch_timeout_s = 0.02;
+  cfg.faults.faults.push_back(mesh::Fault{2, /*after_messages=*/40, 0.0});
+  mesh::LiveCluster cluster(cfg);
+  const auto report =
+      cluster.run_all_pairs(app, store, [](const runtime::PairResult&) {});
+  ASSERT_EQ(report.pairs,
+            dnc::count_pairs(dnc::root_region(app.item_count())));
+
+  const auto instants = [](const NodeTrace& trace, SpanPhase phase) {
+    return static_cast<std::uint64_t>(std::count_if(
+        trace.causal_spans.begin(), trace.causal_spans.end(),
+        [phase](const SpanRecord& r) {
+          return r.instant() && r.phase == phase;
+        }));
+  };
+  std::uint64_t deaths = 0;
+  std::uint64_t adoptions = 0;
+  for (std::size_t id = 0; id < report.nodes.size(); ++id) {
+    const NodeTrace& trace = report.nodes[id].trace;
+    deaths += instants(trace, SpanPhase::kNodeDeath);
+    adoptions += instants(trace, SpanPhase::kRegionAdopt);
+    EXPECT_EQ(instants(trace, SpanPhase::kRemoteSteal),
+              report.nodes[id].steal.remote_steals)
+        << "node " << id;
+  }
+  EXPECT_GE(report.failover.node_deaths, 1u);
+  EXPECT_EQ(deaths, report.failover.node_deaths);
+  EXPECT_EQ(adoptions, report.failover.regions_adopted);
+  EXPECT_EQ(report.critical_path.spans_analyzed, 0u);
+}
+
+// A master failover dumps every node's black box, and the adopter's dump
+// names the handover: the span log tees the dead master's death verdict
+// and the failover instant into the ring. 12 items keep each 1024-entry
+// ring from wrapping.
+TEST(LiveCluster, MasterFailoverDumpNamesTheHandover) {
+  storage::MemoryStore store;
+  apps::ForensicsConfig fc;
+  fc.cameras = 2;
+  fc.images_per_camera = 6;
+  fc.width = 48;
+  fc.height = 40;
+  fc.seed = 23;
+  apps::ForensicsDataset dataset(fc, store);
+  apps::ForensicsApplication app(dataset);
+
+  storage::MemoryStore checkpoint;
+  mesh::LiveClusterConfig cfg;
+  cfg.num_nodes = 3;
+  cfg.node.host_cache_capacity = 8_MiB;
+  cfg.node.cpu_threads = 2;
+  cfg.trace_sample_n = 64;
+  cfg.checkpoint_store = &checkpoint;
+  cfg.heartbeat_interval_s = 0.005;
+  cfg.lease_timeout_s = 0.05;
+  cfg.fetch_timeout_s = 0.02;
+  cfg.faults.faults.push_back(mesh::Fault{0, /*after_messages=*/30, 0.0});
+  mesh::LiveCluster cluster(cfg);
+  const auto report =
+      cluster.run_all_pairs(app, store, [](const runtime::PairResult&) {});
+
+  ASSERT_EQ(report.failover.master_failovers, 1u);
+  EXPECT_EQ(report.flight_dumps, 3u);
+  const ByteBuffer bytes = checkpoint.read("rocket.flightrec.node1");
+  const std::string dump(bytes.begin(), bytes.end());
+  EXPECT_NE(dump.find("\"kind_name\":\"node_death\""), std::string::npos);
+  EXPECT_NE(dump.find("\"kind_name\":\"master_failover\""),
+            std::string::npos);
 }
 
 // --- log level parsing ----------------------------------------------------
