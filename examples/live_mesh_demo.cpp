@@ -31,14 +31,14 @@
 //                                            check drops them)
 //                      [--slow-node N]      (grey failure: node N stays alive
 //                                            but runs --slow-factor x slower;
-//                                            the health machine marks it
-//                                            degraded and speculates its
-//                                            backlog, DESIGN.md §15)
+//                                            thieves drain its queued work
+//                                            and idle nodes get copies of
+//                                            its in-flight tiles in the end
+//                                            game, DESIGN.md §15)
 //                      [--slow-factor F]    (kernel stretch for --slow-node,
 //                                            10.0)
-//                      [--no-speculation]   (keep the binary alive/dead model:
-//                                            no health verdicts, no straggler
-//                                            speculation — baseline for the
+//                      [--no-speculation]   (no end-game copies: stealing
+//                                            alone — baseline for the
 //                                            --slow-node comparison)
 //                      [--flaky-rate R]     (grey failure: this fraction of
 //                                            object-store reads throws a
@@ -99,12 +99,9 @@ class LiveStatsPrinter {
          static_cast<unsigned long long>(snap.total_pairs),
          snap.cluster_pairs_per_sec);
     for (const auto& node : snap.nodes) {
-      // Health column: A(live) / S(uspected) / D(egraded) / X (dead),
-      // DESIGN.md §15.
-      emit("  node %u %-5s %c %8.0f pairs/s  busy %5.1f%%  cache hit %5.1f%%  "
+      emit("  node %u %-5s %8.0f pairs/s  busy %5.1f%%  cache hit %5.1f%%  "
            "in-flight %lld  queue %lld  steals %llu",
-           node.node, node.alive ? "alive" : "DEAD",
-           rocket::telemetry::health_letter(node.health), node.pairs_per_sec,
+           node.node, node.alive ? "alive" : "DEAD", node.pairs_per_sec,
            100.0 * node.busy_fraction, 100.0 * node.cache_hit_rate,
            static_cast<long long>(node.stats.in_flight_tiles),
            static_cast<long long>(node.stats.result_queue_depth),
@@ -218,8 +215,8 @@ int main(int argc, char** argv) {
   mesh_cfg.frame_corrupt_rate = opts.get_double("corrupt-rate", 0.0);
 
   // Grey failure (DESIGN.md §15): a straggler that stays alive but slow,
-  // and/or an object store with transient read errors. The health machine
-  // rides on the telemetry snapshot stream, so --slow-node turns it on.
+  // and/or an object store with transient read errors. --slow-node turns
+  // end-game speculation on unless --no-speculation.
   const auto slow_node = opts.get_int("slow-node", -1);
   const double slow_factor = opts.get_double("slow-factor", 10.0);
   const bool no_speculation = opts.get_bool("no-speculation", false);
@@ -232,17 +229,7 @@ int main(int argc, char** argv) {
     mesh_cfg.slow_node = static_cast<rocket::mesh::NodeId>(slow_node);
     mesh_cfg.slow_factor = slow_factor;
     mesh_cfg.slow_store_latency_us = 200;
-    if (!no_speculation) {
-      mesh_cfg.degraded_rate_fraction = 0.35;
-      mesh_cfg.suspect_intervals = 2;
-      // Aggressive drain: undelivered backlog coalesces into row runs, so
-      // a straggler owes many small regions — peel a wide slice each
-      // interval or the rescue trickles behind the blocked steal path.
-      mesh_cfg.speculation_regions_per_interval = 8;
-      if (mesh_cfg.snapshot_interval_s <= 0.0) {
-        mesh_cfg.snapshot_interval_s = 0.02;  // health needs the rate stream
-      }
-    }
+    mesh_cfg.speculation = !no_speculation;
     std::printf("chaos: node %lld runs %.0fx slow (speculation %s)\n",
                 static_cast<long long>(slow_node), slow_factor,
                 no_speculation ? "OFF" : "on");
@@ -425,17 +412,12 @@ int main(int argc, char** argv) {
                 "live node completed the aggregation\n",
                 static_cast<unsigned long long>(fo.master_failovers));
   }
-  if (fo.nodes_degraded > 0 || fo.nodes_recovered > 0 ||
-      fo.regions_speculated > 0) {
-    std::printf("health: %llu degradation verdict(s), %llu recovery(ies), "
-                "%llu steal draw(s) skipped stragglers\n",
-                static_cast<unsigned long long>(fo.nodes_degraded),
-                static_cast<unsigned long long>(fo.nodes_recovered),
-                static_cast<unsigned long long>(fo.steals_avoided_degraded));
-    std::printf("speculation: %llu region(s) of straggler backlog re-granted "
-                "to healthy nodes (first result wins; %llu duplicate(s) "
+  if (fo.regions_speculated > 0) {
+    std::printf("speculation: %llu region(s), %llu pair(s) of in-flight work "
+                "copied to idle nodes (first result wins; %llu duplicate(s) "
                 "dropped)\n",
                 static_cast<unsigned long long>(fo.regions_speculated),
+                static_cast<unsigned long long>(fo.pairs_speculated),
                 static_cast<unsigned long long>(
                     report.duplicate_results_dropped));
   }

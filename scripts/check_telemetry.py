@@ -45,10 +45,7 @@ FAILOVER_KEYS = [
     "corrupted_frames",
 ]
 
-HEALTH_KEYS = [
-    "nodes_suspected", "nodes_degraded", "nodes_recovered",
-    "steals_avoided_degraded", "load_retries", "failed_loads",
-]
+HEALTH_KEYS = ["load_retries", "failed_loads"]
 
 SPECULATION_KEYS = ["regions", "pairs", "duplicate_results_dropped"]
 
@@ -133,11 +130,10 @@ def check_summary(path, nodes, expect_master_failover=False,
         if doc["checkpoint"]["pairs_recovered"] == 0:
             fail(f"{path}: resumed run recovered zero pairs")
     if expect_speculation:
-        if doc["speculation"]["regions"] == 0:
-            fail(f"{path}: expected straggler speculation, zero regions "
-                 f"re-granted")
-        if doc["health"]["nodes_degraded"] == 0:
-            fail(f"{path}: expected a degraded-node verdict, none recorded")
+        for key in ("regions", "pairs"):
+            if doc["speculation"][key] == 0:
+                fail(f"{path}: expected end-game speculation, zero {key} "
+                     f"copied")
     print(f"check_telemetry: OK: {path} ({doc['pairs']} pairs, "
           f"{len(doc['nodes'])} nodes, "
           f"{len(doc['metrics']['histograms'])} histograms)")
@@ -272,8 +268,8 @@ def main():
                         help="fail unless the run resumed from a journal "
                              "and recovered pairs")
     parser.add_argument("--expect-speculation", action="store_true",
-                        help="fail unless a node was degraded and some of "
-                             "its backlog was speculatively re-granted")
+                        help="fail unless end-game speculation copied "
+                             "regions and pairs to idle nodes")
     args = parser.parse_args()
     if args.kind == "summary":
         check_summary(args.path, args.nodes, args.expect_master_failover,

@@ -198,15 +198,9 @@ LiveCluster::Report LiveCluster::run_all_pairs(
       mc.max_fetch_retries = config_.max_fetch_retries;
       mc.export_leases = true;
     }
-    // Grey-failure knobs ride on every node: health verdicts are a master
-    // duty, and with failover any node may become the master mid-run.
-    mc.degraded_rate_fraction = config_.degraded_rate_fraction;
-    mc.suspect_intervals = config_.suspect_intervals;
-    mc.recover_rate_fraction = config_.recover_rate_fraction;
-    mc.recover_intervals = config_.recover_intervals;
-    mc.health_ewma_alpha = config_.health_ewma_alpha;
-    mc.speculation_regions_per_interval =
-        config_.speculation_regions_per_interval;
+    // Every node sends idle notices, and with failover any node may become
+    // the master that grants copies.
+    mc.speculation = config_.speculation;
     // With failover EVERY node carries the master duties — any of them
     // may adopt the role mid-run; without it only node 0 does.
     if (id == 0 || failover) {

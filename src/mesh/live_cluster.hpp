@@ -147,26 +147,11 @@ struct LiveClusterConfig {
 
   // --- grey-failure resilience (DESIGN.md §15) ---
 
-  /// Straggler detection: a node whose EWMA delivered-pairs rate stays
-  /// below this fraction of the cluster median for `suspect_intervals`
-  /// consecutive telemetry intervals is marked degraded. Needs the
-  /// snapshot stream (snapshot_interval_s > 0) for rate input. 0 keeps
-  /// the binary alive/dead model.
-  double degraded_rate_fraction = 0.0;
-  std::uint32_t suspect_intervals = 2;
-
-  /// Hysteresis: a degraded node recovers (and becomes grantable again)
-  /// after holding its rate above recover_rate_fraction × median for
-  /// recover_intervals consecutive intervals.
-  double recover_rate_fraction = 0.7;
-  std::uint32_t recover_intervals = 2;
-  double health_ewma_alpha = 0.4;
-
-  /// Straggler speculation bound: regions of a degraded node's
-  /// undelivered backlog re-granted to the fastest healthy node per
-  /// telemetry interval (first result wins; the ledger drops duplicates).
-  /// 0 disables speculation while keeping health tracking.
-  std::uint32_t speculation_regions_per_interval = 2;
+  /// End-game speculation: a node whose cross-node steal comes back
+  /// empty while it owes nothing receives a copy of half the
+  /// most-indebted node's in-flight work (first result wins; the ledger
+  /// drops the duplicates). Off keeps the binary alive/dead model.
+  bool speculation = false;
 
   /// Grey-failure straggler injection (chaos tests, the demo's
   /// --slow-node): node `slow_node` runs every kernel `slow_factor`×
@@ -207,8 +192,8 @@ struct LiveClusterReport {
   double stall_seconds = 0.0;  // summed device load-stall time, all nodes
 
   // --- failure model (all zero in a fault-free run) ---
-  /// Death verdicts, re-grants, adoptions, health verdicts and
-  /// speculation, summed over every node.
+  /// Death verdicts, re-grants, adoptions and end-game copies, summed
+  /// over every node.
   FailoverStats failover;
   /// Copies of failover.duplicate_results_dropped and
   /// peer_cache.retries; perfbench reads them here.

@@ -47,12 +47,8 @@ FailoverStats& operator+=(FailoverStats& a, const FailoverStats& b) {
   a.results_received += b.results_received;
   a.regions_adopted += b.regions_adopted;
   a.master_failovers += b.master_failovers;
-  a.nodes_suspected += b.nodes_suspected;
-  a.nodes_degraded += b.nodes_degraded;
-  a.nodes_recovered += b.nodes_recovered;
   a.regions_speculated += b.regions_speculated;
   a.pairs_speculated += b.pairs_speculated;
-  a.steals_avoided_degraded += b.steals_avoided_degraded;
   return a;
 }
 
@@ -75,15 +71,12 @@ MeshNode::MeshNode(Config config, Transport& transport,
   const auto p = transport_.num_nodes();
   dead_ = std::make_unique<std::atomic<bool>[]>(p);
   last_seen_ns_ = std::make_unique<std::atomic<std::int64_t>[]>(p);
-  health_ = std::make_unique<std::atomic<std::uint8_t>[]>(p);
   for (std::uint32_t k = 0; k < p; ++k) {
     dead_[k].store(false, std::memory_order_relaxed);
     last_seen_ns_[k].store(0, std::memory_order_relaxed);
-    health_[k].store(static_cast<std::uint8_t>(telemetry::NodeHealth::kAlive),
-                     std::memory_order_relaxed);
   }
-  health_states_.assign(p, HealthState{});
   declared_.assign(p, false);
+  copy_holders_.assign(p, false);
   for (std::uint32_t w = 0; w < std::max(1u, cfg_.num_workers); ++w) {
     auto cell = std::make_unique<StealCell>();
     cell->rng.reseed(cfg_.seed * 0x9E3779B97F4A7C15ULL +
@@ -212,7 +205,7 @@ void MeshNode::serve_loop() {
           } else if constexpr (std::is_same_v<Body, StealRequest>) {
             on_steal_request(body);
           } else if constexpr (std::is_same_v<Body, StealReply>) {
-            on_steal_reply(body);
+            on_steal_reply(body, from);
           } else if constexpr (std::is_same_v<Body, ResultMsg>) {
             on_result_msg(body);
           } else if constexpr (std::is_same_v<Body, Heartbeat>) {
@@ -231,8 +224,8 @@ void MeshNode::serve_loop() {
             on_master_announce(body);
           } else if constexpr (std::is_same_v<Body, MasterTick>) {
             on_master_tick();
-          } else if constexpr (std::is_same_v<Body, HealthUpdate>) {
-            on_health_update(body);
+          } else if constexpr (std::is_same_v<Body, IdleNotice>) {
+            on_idle_notice(body);
           }
         },
         std::move(msg->body));
@@ -600,32 +593,15 @@ std::optional<dnc::Region> MeshNode::remote_steal(std::uint32_t worker) {
   if (global_done()) return std::nullopt;
   const auto t0 = std::chrono::steady_clock::now();
   if (cell.outstanding == 0) {
-    // Uniform victim among the other *live, healthy* nodes (with nobody
-    // dead or degraded this draws the same victim sequence as the
-    // pre-failure-model code). Suspected/degraded stragglers are skipped
-    // while a healthy victim exists — stealing their deques would hand
-    // MORE work to nodes near them in the result path and race the
-    // master's speculation; their backlog drains through the bounded
-    // speculative re-grants instead. With only stragglers left they are
-    // still fair game: slow work beats idle workers.
+    // Uniform victim among the other live nodes (with nobody dead this
+    // draws the same victim sequence as the pre-failure-model code). A
+    // slow node is a victim like any other: stealing is what moves its
+    // queued work (DESIGN.md §15).
     std::vector<NodeId> victims;
-    std::vector<NodeId> stragglers;
     victims.reserve(p - 1);
     for (NodeId v = 0; v < p; ++v) {
       if (v == cfg_.id || dead_[v].load(std::memory_order_acquire)) continue;
-      const auto health = health_of(v);
-      if (health == telemetry::NodeHealth::kSuspected ||
-          health == telemetry::NodeHealth::kDegraded) {
-        stragglers.push_back(v);
-        continue;
-      }
       victims.push_back(v);
-    }
-    if (victims.empty()) {
-      victims = std::move(stragglers);
-    } else if (!stragglers.empty()) {
-      steals_avoided_degraded_.fetch_add(stragglers.size(),
-                                         std::memory_order_relaxed);
     }
     if (victims.empty()) return std::nullopt;
     const NodeId victim = victims[cell.rng.uniform_index(victims.size())];
@@ -725,7 +701,7 @@ void MeshNode::on_steal_request(const StealRequest& req) {
   }
 }
 
-void MeshNode::on_steal_reply(const StealReply& reply) {
+void MeshNode::on_steal_reply(const StealReply& reply, NodeId from) {
   auto& cell = *cells_[reply.worker % cells_.size()];
   telemetry::SpanContext steal_ctx;
   {
@@ -744,6 +720,12 @@ void MeshNode::on_steal_reply(const StealReply& reply) {
     }
   }
   cell.cv.notify_all();
+  if (cfg_.speculation && !reply.has_region && !global_done()) {
+    // End game (DESIGN.md §15): the victim had nothing queued. The master
+    // decides whether this node is idle and the victim worth copying.
+    transport_.send(cfg_.id, current_master(), net::Tag::kFailover,
+                    IdleNotice{cfg_.id, from});
+  }
 }
 
 void MeshNode::wake() {
@@ -972,10 +954,6 @@ void MeshNode::on_node_down(const NodeDown& down, NodeId from) {
   const auto p = transport_.num_nodes();
   if (down.node >= p || down.node == cfg_.id) return;
   if (dead_[down.node].exchange(true, std::memory_order_acq_rel)) return;
-  // Death terminates the health machine from any state (DESIGN.md §15).
-  health_[down.node].store(
-      static_cast<std::uint8_t>(telemetry::NodeHealth::kDead),
-      std::memory_order_release);
   {
     std::scoped_lock lock(mutex_);
     // Mediator prune: never hand a dead node out as a candidate again.
@@ -1073,22 +1051,11 @@ void MeshNode::on_region_grant(const RegionGrant& grant) {
 
 NodeId MeshNode::pick_survivor() {
   const auto p = transport_.num_nodes();
-  // Round-robin over live nodes, preferring healthy ones: a degraded
-  // straggler receives no new grants until it recovers (hysteresis,
-  // DESIGN.md §15). If every survivor is degraded, grant to one anyway —
-  // slow progress beats a stranded region.
-  NodeId fallback = kNoNode;
   for (std::uint32_t step = 0; step < p; ++step) {
     const NodeId candidate = next_regrant_;
     next_regrant_ = (next_regrant_ + 1) % p;
-    if (dead_[candidate].load(std::memory_order_acquire)) continue;
-    if (health_of(candidate) != telemetry::NodeHealth::kAlive) {
-      if (fallback == kNoNode) fallback = candidate;
-      continue;
-    }
-    return candidate;
+    if (!dead_[candidate].load(std::memory_order_acquire)) return candidate;
   }
-  if (fallback != kNoNode) return fallback;
   return cfg_.id;  // everyone else is gone: the master executes it
 }
 
@@ -1168,11 +1135,9 @@ void MeshNode::on_telemetry(const TelemetrySnapshot& snap) {
   state.last_at = now;
   state.seen = true;
 
-  // One evaluation per master interval: the master publishes through its
-  // own inbox like everyone else, so its own sample is the metronome.
-  if (snap.node != cfg_.id) return;
-  if (health_enabled()) evaluate_health();
-  if (!cfg_.on_snapshot) return;
+  // One ClusterSnapshot per master interval: the master publishes through
+  // its own inbox like everyone else, so its own sample is the metronome.
+  if (snap.node != cfg_.id || !cfg_.on_snapshot) return;
 
   telemetry::ClusterSnapshot cluster;
   cluster.seq = ++cluster_snapshot_seq_;
@@ -1184,7 +1149,6 @@ void MeshNode::on_telemetry(const TelemetrySnapshot& snap) {
     telemetry::NodeSnapshot ns;
     ns.node = k;
     ns.alive = !dead_[k].load(std::memory_order_acquire);
-    ns.health = ns.alive ? health_of(k) : telemetry::NodeHealth::kDead;
     ns.age_seconds = std::chrono::duration<double>(now - s.last_at).count();
     ns.stats = s.last;
     const double dt =
@@ -1217,183 +1181,46 @@ void MeshNode::on_telemetry(const TelemetrySnapshot& snap) {
   cfg_.on_snapshot(cluster);
 }
 
-// --- grey-failure health state machine (DESIGN.md §15) --------------------
+// --- end-game speculation (DESIGN.md §15) ---------------------------------
 
-void MeshNode::evaluate_health() {
-  using telemetry::NodeHealth;
+void MeshNode::on_idle_notice(const IdleNotice& notice) {
   const auto p = transport_.num_nodes();
-  // EWMA-smooth each live publisher's instantaneous delivered-pairs rate
-  // (delta of the last two samples over their arrival spacing).
-  std::vector<double> rates;
-  rates.reserve(p);
-  for (NodeId k = 0; k < p; ++k) {
-    if (dead_[k].load(std::memory_order_acquire)) continue;
-    // A node with no undelivered lease is idle by completion, not a
-    // straggler: its delivered-pairs rate legitimately falls to zero at
-    // the tail of the run. Keep it out of the median and its EWMA frozen
-    // so the detector never degrades a finished node.
-    if (ledger_ != nullptr && ledger_->pairs_owed(k) == 0) continue;
-    const SnapState& s = snap_states_[k];
-    if (!s.seen || s.prev_at.time_since_epoch().count() == 0) continue;
-    const double dt =
-        std::chrono::duration<double>(s.last_at - s.prev_at).count();
-    if (dt <= 0) continue;
-    const double inst =
-        static_cast<double>(s.last.pairs - s.prev.pairs) / dt;
-    HealthState& h = health_states_[k];
-    h.ewma = h.ewma < 0 ? inst
-                        : cfg_.health_ewma_alpha * inst +
-                              (1.0 - cfg_.health_ewma_alpha) * h.ewma;
-    rates.push_back(h.ewma);
-  }
-  // Already-degraded stragglers drain a bounded slice every interval,
-  // whether or not a median is computable right now: late in a run the
-  // healthy nodes finish, leave the rating set, and the straggler's
-  // remaining backlog must keep migrating or the tail serialises on it.
-  for (NodeId k = 0; k < p; ++k) {
-    if (dead_[k].load(std::memory_order_acquire)) continue;
-    if (health_of(k) == NodeHealth::kDegraded) speculate_for(k);
-  }
-  if (rates.size() < 2) return;  // a "cluster median" needs a cluster
-  auto mid = rates.begin() + rates.size() / 2;
-  std::nth_element(rates.begin(), mid, rates.end());
-  const double median = *mid;
-  // No median progress means the run is idle, starting, or draining —
-  // every rate is near zero and "fraction of the median" is noise, so the
-  // detector holds its current verdicts rather than inventing new ones.
-  if (median <= 0) return;
-
-  const double suspect_below = cfg_.degraded_rate_fraction * median;
-  const double recover_above =
-      std::max(cfg_.recover_rate_fraction, cfg_.degraded_rate_fraction) *
-      median;
-  for (NodeId k = 0; k < p; ++k) {
-    if (dead_[k].load(std::memory_order_acquire)) continue;
-    // Same idle-by-completion guard as the rating pass: no owed work means
-    // no verdict change in either direction (a degraded node whose backlog
-    // was fully speculated away recovers by stealing and delivering).
-    if (ledger_ != nullptr && ledger_->pairs_owed(k) == 0) continue;
-    HealthState& h = health_states_[k];
-    if (h.ewma < 0) continue;  // never rated: no verdict either way
-    switch (health_of(k)) {
-      case NodeHealth::kAlive:
-        if (h.ewma < suspect_below) {
-          h.below = 1;
-          ++failover_.nodes_suspected;
-          set_health(k, NodeHealth::kSuspected);
-          record_instant(telemetry::SpanPhase::kNodeSuspected, k);
-        }
-        break;
-      case NodeHealth::kSuspected:
-        if (h.ewma < suspect_below) {
-          if (++h.below >= cfg_.suspect_intervals) {
-            h.above = 0;
-            ++failover_.nodes_degraded;
-            set_health(k, NodeHealth::kDegraded);
-            record_instant(telemetry::SpanPhase::kNodeDegraded, k);
-            speculate_for(k);
-          }
-        } else {
-          // A one-interval dip: clear immediately, no hysteresis needed
-          // before the degraded verdict was ever confirmed.
-          h.below = 0;
-          set_health(k, NodeHealth::kAlive);
-        }
-        break;
-      case NodeHealth::kDegraded:
-        if (h.ewma >= recover_above) {
-          if (++h.above >= cfg_.recover_intervals) {
-            h.below = 0;
-            h.above = 0;
-            ++failover_.nodes_recovered;
-            set_health(k, NodeHealth::kAlive);
-            record_instant(telemetry::SpanPhase::kNodeRecovered, k);
-          }
-        } else {
-          // Still degraded: the drain pass above keeps peeling its
-          // backlog; here we only reset the recovery streak.
-          h.above = 0;
-        }
-        break;
-      case NodeHealth::kDead:
-        break;
-    }
-  }
-}
-
-void MeshNode::set_health(NodeId node, telemetry::NodeHealth state) {
-  health_[node].store(static_cast<std::uint8_t>(state),
-                      std::memory_order_release);
-  // Broadcast so every node's steal-victim selection sees the straggler,
-  // not just the master's. Best effort: a lost update only costs a peer
-  // some avoidable steals from a slow victim.
-  const auto p = transport_.num_nodes();
-  ++health_seq_;
-  for (NodeId peer = 0; peer < p; ++peer) {
-    if (peer == cfg_.id || dead_[peer].load(std::memory_order_acquire)) {
-      continue;
-    }
-    transport_.send(
-        cfg_.id, peer, net::Tag::kFailover,
-        HealthUpdate{node, static_cast<std::uint8_t>(state), health_seq_});
-  }
-}
-
-void MeshNode::on_health_update(const HealthUpdate& update) {
-  if (update.node >= transport_.num_nodes()) return;
-  if (update.state > static_cast<std::uint8_t>(telemetry::NodeHealth::kDead)) {
+  if (!is_master() || ledger_ == nullptr || notice.node >= p ||
+      notice.victim >= p || notice.node == notice.victim) {
     return;
   }
-  // A death verdict this node already holds outranks any health gossip.
-  if (dead_[update.node].load(std::memory_order_acquire)) return;
-  health_[update.node].store(update.state, std::memory_order_release);
-}
-
-void MeshNode::speculate_for(NodeId node) {
-  if (ledger_ == nullptr || cfg_.speculation_regions_per_interval == 0) {
+  const auto live_source = [this](NodeId k) {
+    return !dead_[k].load(std::memory_order_acquire) && !copy_holders_[k];
+  };
+  // 1. The sender owes nothing: truly idle, not a straggler between tiles.
+  if (dead_[notice.node].load(std::memory_order_acquire) ||
+      ledger_->pairs_owed(notice.node) > 0) {
     return;
   }
-  // Bounded speculative re-grant: peel up to N of the straggler's
-  // undelivered regions per interval and hand each to the fastest healthy
-  // node. The ledger transfers ownership, so a region is never speculated
-  // twice and the straggler's late results for it dedup as duplicates —
-  // first result wins (Schoeneman & Zola's speculation argument, made
-  // safe by PR 6's exactly-once ledger). The straggler keeps its lease
-  // and whatever it is currently computing; only its *backlog* migrates.
-  std::uint32_t granted = 0;
-  for (const dnc::Region& region : ledger_->undelivered_of(node)) {
-    if (granted >= cfg_.speculation_regions_per_interval) break;
-    const std::uint64_t pairs = dnc::count_pairs(region);
-    if (pairs == 0) continue;
-    const NodeId to = pick_speculation_target(node);
-    if (to == node) break;  // nobody healthy to speculate on
+  // 2. The victim is alive, owes pairs and holds no copies.
+  const std::uint64_t owed = ledger_->pairs_owed(notice.victim);
+  if (!live_source(notice.victim) || owed == 0) return;
+  // 3. No other live node without copies owes more: copies come from the
+  //    slowest node, not from a fast node's last in-flight tiles.
+  for (NodeId k = 0; k < p; ++k) {
+    if (k != notice.victim && live_source(k) &&
+        ledger_->pairs_owed(k) > owed) {
+      return;
+    }
+  }
+  // The victim's deques were empty, so what it owes is in flight, or
+  // re-granted regions still parked in its orphan queue. Copy about half:
+  // ownership moves in the ledger and the first result wins (Schoeneman &
+  // Zola's speculation argument, made safe by the exactly-once ledger).
+  const auto regions = ledger_->undelivered_of(notice.victim);
+  copy_holders_[notice.node] = true;
+  for (std::size_t k = 0; k < (regions.size() + 1) / 2; ++k) {
     ++failover_.regions_speculated;
-    failover_.pairs_speculated += pairs;
-    record_instant(telemetry::SpanPhase::kRegionSpeculated, to,
-                   static_cast<std::uint32_t>(
-                       std::min<std::uint64_t>(pairs, UINT32_MAX)));
-    regrant_region_to(region, to);
-    ++granted;
+    failover_.pairs_speculated += dnc::count_pairs(regions[k]);
+    record_instant(telemetry::SpanPhase::kRegionSpeculated, notice.node,
+                   notice.victim);
+    regrant_region_to(regions[k], notice.node);
   }
-}
-
-NodeId MeshNode::pick_speculation_target(NodeId degraded) {
-  // Rotate over the healthy nodes so an interval's slice spreads across
-  // the whole healthy set instead of serialising on one adoptive node
-  // (the per-region work is uniform enough that breadth beats chasing the
-  // single fastest EWMA). Returns `degraded` itself when no healthy
-  // candidate exists (the caller gives up rather than shuffling work
-  // between stragglers).
-  const auto p = transport_.num_nodes();
-  std::vector<NodeId> healthy;
-  healthy.reserve(p);
-  for (NodeId k = 0; k < p; ++k) {
-    if (k == degraded || dead_[k].load(std::memory_order_acquire)) continue;
-    if (health_of(k) != telemetry::NodeHealth::kAlive) continue;
-    healthy.push_back(k);
-  }
-  if (healthy.empty()) return degraded;
-  return healthy[spec_rr_++ % healthy.size()];
 }
 
 void MeshNode::register_stats(telemetry::NodeStatsFn fn) {
@@ -1425,8 +1252,6 @@ cache::DirectoryStats MeshNode::directory_stats() const {
 
 FailoverStats MeshNode::failover_stats() const {
   FailoverStats out = failover_;
-  out.steals_avoided_degraded =
-      steals_avoided_degraded_.load(std::memory_order_relaxed);
   if (ledger_ != nullptr) {
     out.duplicate_results_dropped = ledger_->duplicates();
     out.regions_reexecuted = ledger_->regions_regranted();

@@ -15,7 +15,8 @@
 //                 StealExporter;
 //   * master    — on the master node only: exactly-once per-pair result
 //                 aggregation (ResultLedger dedup), the failure detector's
-//                 death verdicts with re-execution grants, and the
+//                 death verdicts with re-execution grants, end-game copies
+//                 of a slow node's in-flight work to idle nodes, and the
 //                 cluster-wide completion signal.
 //
 // A second, low-rate ticker thread drives everything timeout-shaped
@@ -36,7 +37,7 @@
 // own inbox, this is the mesh's deadlock-freedom argument (DESIGN.md §9).
 //
 // The mesh's discrete decisions — steals, death verdicts, re-grants,
-// adoptions, failovers, health verdicts — are instants in the node's span
+// adoptions, failovers, end-game copies — are instants in the node's span
 // log (DESIGN.md §13.3), recorded wherever their FailoverStats or steal
 // counter counts, so a trace holds one instant per count.
 
@@ -97,14 +98,9 @@ struct FailoverStats {
   std::uint64_t regions_adopted = 0;    // re-execution grants parked here
   std::uint64_t master_failovers = 0;   // this node adopted the master role
 
-  // --- grey-failure health (DESIGN.md §15) ---
-  std::uint64_t nodes_suspected = 0;    // master: alive → suspected
-  std::uint64_t nodes_degraded = 0;     // master: suspected → degraded
-  std::uint64_t nodes_recovered = 0;    // master: degraded → alive
-  std::uint64_t regions_speculated = 0; // master: straggler re-grants
-  std::uint64_t pairs_speculated = 0;   // pairs covered by those grants
-  std::uint64_t steals_avoided_degraded = 0;  // victim draws that skipped
-                                              // suspected/degraded nodes
+  // --- end-game speculation (DESIGN.md §15) ---
+  std::uint64_t regions_speculated = 0; // master: regions copied to idle nodes
+  std::uint64_t pairs_speculated = 0;   // pairs covered by those copies
 };
 
 FailoverStats& operator+=(FailoverStats& a, const FailoverStats& b);
@@ -156,7 +152,7 @@ class MeshNode final : public runtime::PeerFetchClient {
     // --- timeline: instants and causal tracing (DESIGN.md §13.3, §16) ---
 
     /// Span log shared with this node's runtime: the mesh's instants
-    /// (steals, deaths, re-grants, health verdicts) and, with
+    /// (steals, deaths, re-grants, copies) and, with
     /// trace_sample_n > 0, its sampled spans. Null records nothing.
     telemetry::SpanLog* spans = nullptr;
 
@@ -175,38 +171,14 @@ class MeshNode final : public runtime::PeerFetchClient {
     /// ClusterSnapshot (once per master snapshot interval).
     std::function<void(const telemetry::ClusterSnapshot&)> on_snapshot;
 
-    // --- grey-failure health (DESIGN.md §15) ---
+    // --- end-game speculation (DESIGN.md §15) ---
 
-    /// Master: a node whose EWMA delivered-pairs rate stays below this
-    /// fraction of the cluster median for `suspect_intervals` consecutive
-    /// telemetry intervals is marked degraded (a straggler — alive but
-    /// slow). Rates come from the TelemetrySnapshot stream, so the state
-    /// machine only engages while snapshots flow. 0 disables it entirely
-    /// (the binary alive/dead model of DESIGN.md §12).
-    double degraded_rate_fraction = 0.0;
-
-    /// Consecutive below-threshold intervals before a suspected node is
-    /// confirmed degraded (the first below-threshold interval moves it
-    /// alive → suspected).
-    std::uint32_t suspect_intervals = 2;
-
-    /// Hysteresis: a degraded node must hold its EWMA rate above
-    /// recover_rate_fraction × cluster median for recover_intervals
-    /// consecutive intervals before it is healthy (and grantable) again.
-    double recover_rate_fraction = 0.7;
-    std::uint32_t recover_intervals = 2;
-
-    /// EWMA smoothing factor for the per-node rate estimate (weight of
-    /// the newest interval's instantaneous rate).
-    double health_ewma_alpha = 0.4;
-
-    /// Straggler speculation bound: up to this many of a degraded node's
-    /// undelivered regions are re-granted to the fastest healthy node per
-    /// telemetry interval (first result wins; the ledger drops the
-    /// duplicates). The degraded node keeps its lease and its in-flight
-    /// work — speculation only drains its backlog at this bounded rate.
-    /// 0 disables speculation while keeping health tracking.
-    std::uint32_t speculation_regions_per_interval = 2;
+    /// A node whose cross-node steal comes back empty tells the master
+    /// (IdleNotice); the master copies half of the most-indebted node's
+    /// undelivered lease to it when the sender owes nothing. First result
+    /// wins, so a copy costs only duplicate pairs. Off: the binary
+    /// alive/dead model of DESIGN.md §12.
+    bool speculation = false;
 
     // Master duties: set on the node that results are routed to (node 0 in
     // a LiveCluster); activated by a non-empty on_result/on_complete.
@@ -308,14 +280,6 @@ class MeshNode final : public runtime::PeerFetchClient {
     return dead_[node].load(std::memory_order_acquire);
   }
 
-  /// This node's view of `node`'s health (DESIGN.md §15): the master's
-  /// detector decides transitions and broadcasts them; every node reads
-  /// the view in steal-victim and grant-target selection.
-  telemetry::NodeHealth health_of(NodeId node) const {
-    return static_cast<telemetry::NodeHealth>(
-        health_[node].load(std::memory_order_acquire));
-  }
-
   /// The node currently holding the master role, as this node knows it.
   /// Result routing reads this so post-failover results reach the
   /// adopter, not the corpse.
@@ -363,7 +327,7 @@ class MeshNode final : public runtime::PeerFetchClient {
   void on_cache_data(CacheData data);
   void on_cache_failure(const CacheFailure& failure);
   void on_steal_request(const StealRequest& req);
-  void on_steal_reply(const StealReply& reply);
+  void on_steal_reply(const StealReply& reply, NodeId from);
   void on_result_msg(const ResultMsg& msg);
   void on_node_down(const NodeDown& down, NodeId from);
   void on_steal_export(const StealExport& exp);
@@ -372,24 +336,10 @@ class MeshNode final : public runtime::PeerFetchClient {
   void on_ledger_sync(LedgerSync sync);
   void on_master_announce(const MasterAnnounce& ann);
   void on_master_tick();
-  void on_health_update(const HealthUpdate& update);
 
-  // --- grey-failure health (master, service thread; DESIGN.md §15) ---
-
-  bool health_enabled() const { return cfg_.degraded_rate_fraction > 0.0; }
-
-  /// Run the health state machine over the folded telemetry samples; the
-  /// master's own sample arrival is the metronome, so this fires once per
-  /// telemetry interval.
-  void evaluate_health();
-
-  /// Record a transition locally and broadcast it to every live peer.
-  void set_health(NodeId node, telemetry::NodeHealth state);
-
-  /// Speculatively re-grant a bounded slice of a degraded node's
-  /// undelivered backlog to the fastest healthy node.
-  void speculate_for(NodeId node);
-  NodeId pick_speculation_target(NodeId degraded);
+  /// Master, service thread: grant an idle node a copy of part of the
+  /// most-indebted node's undelivered lease (DESIGN.md §15).
+  void on_idle_notice(const IdleNotice& notice);
 
   // --- durability (master, service thread; DESIGN.md §14) ---
 
@@ -498,22 +448,9 @@ class MeshNode final : public runtime::PeerFetchClient {
   NodeId next_regrant_ = 0;  // round-robin survivor cursor
   std::vector<SnapState> snap_states_;  // telemetry fold, by publisher
   std::uint64_t cluster_snapshot_seq_ = 0;
-
-  // --- grey-failure health (DESIGN.md §15) ---
-  /// Cluster-wide health view: written by the service thread (master
-  /// verdicts, broadcast updates), read by steal-victim and grant-target
-  /// selection on any thread.
-  std::unique_ptr<std::atomic<std::uint8_t>[]> health_;
-  /// Master-side detector state per node (service thread only).
-  struct HealthState {
-    double ewma = -1.0;       // delivered-pairs rate estimate; <0 = unseeded
-    std::uint32_t below = 0;  // consecutive below-threshold intervals
-    std::uint32_t above = 0;  // consecutive above-recovery intervals
-  };
-  std::vector<HealthState> health_states_;  // service thread only
-  std::uint32_t health_seq_ = 0;            // service thread only
-  std::uint32_t spec_rr_ = 0;               // speculation round-robin cursor
-  std::atomic<std::uint64_t> steals_avoided_degraded_{0};
+  /// Nodes granted an end-game copy: never copied from, so no pair is
+  /// speculated twice.
+  std::vector<bool> copy_holders_;
 
   // --- durability state (service thread only; DESIGN.md §14) ---
   /// Which node holds the master role. Atomic because the ticker and the

@@ -69,9 +69,9 @@ class ResultLedger {
   std::vector<dnc::Region> undelivered_of(NodeId owner) const;
 
   /// Undelivered pairs currently leased to `owner` — O(1), maintained
-  /// incrementally. Zero means the node is idle by completion: the health
-  /// detector (DESIGN.md §15) must not read its zero delivered-pairs rate
-  /// as straggling.
+  /// incrementally. End-game speculation (DESIGN.md §15) reads it twice:
+  /// zero means a node is idle by completion, and the node owing the most
+  /// is the one copied from.
   std::uint64_t pairs_owed(NodeId owner) const {
     return owner < owed_.size() ? owed_[owner] : 0;
   }

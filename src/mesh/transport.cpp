@@ -138,10 +138,9 @@ void fold_body(std::uint32_t& crc, const MasterAnnounce& b) {
 
 void fold_body(std::uint32_t& crc, const MasterTick&) {}
 
-void fold_body(std::uint32_t& crc, const HealthUpdate& b) {
+void fold_body(std::uint32_t& crc, const IdleNotice& b) {
   fold(crc, b.node);
-  fold(crc, b.state);
-  fold(crc, b.seq);
+  fold(crc, b.victim);
 }
 
 /// Mutate one semantic field of the body — simulating bit rot on the wire
@@ -186,8 +185,8 @@ void corrupt_body(MessageBody& body) {
           b.seq ^= 1u;
         } else if constexpr (std::is_same_v<T, MasterAnnounce>) {
           b.master ^= 1u;
-        } else if constexpr (std::is_same_v<T, HealthUpdate>) {
-          b.node ^= 1u;
+        } else if constexpr (std::is_same_v<T, IdleNotice>) {
+          b.victim ^= 1u;
         } else {
           static_assert(std::is_same_v<T, MasterTick>, "unhandled body");
         }

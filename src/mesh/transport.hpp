@@ -174,24 +174,19 @@ struct MasterAnnounce {
 /// ledger lives.
 struct MasterTick {};
 
-/// Master → everyone: `node` transitioned to health `state` (a
-/// telemetry::NodeHealth value, DESIGN.md §15). Receivers update their
-/// local health view so steal-victim selection skips stragglers
-/// cluster-wide, not just at the master. `seq` orders updates from one
-/// master; the in-process transport is FIFO per sender so it is
-/// informational here, but a reordering wire transport would drop stale
-/// ones.
-struct HealthUpdate {
+/// Idle node → master (end-game speculation, DESIGN.md §15): `node`'s
+/// cross-node steal from `victim` came back empty. The master may answer
+/// with a RegionGrant copying part of the victim's undelivered lease.
+struct IdleNotice {
   NodeId node = 0;
-  std::uint8_t state = 0;
-  std::uint32_t seq = 0;
+  NodeId victim = 0;
 };
 
 using MessageBody = std::variant<CacheRequest, CacheProbe, CacheData,
                                  CacheFailure, StealRequest, StealReply,
                                  ResultMsg, Heartbeat, NodeDown, StealExport,
                                  RegionGrant, TelemetrySnapshot, LedgerSync,
-                                 MasterAnnounce, MasterTick, HealthUpdate>;
+                                 MasterAnnounce, MasterTick, IdleNotice>;
 
 struct Message {
   NodeId from = 0;

@@ -327,10 +327,10 @@ void ensure_device_buffer(Engine& eng, DeviceState& dev, cache::SlotId dslot,
 }
 
 /// Emulate a slower device by stretching kernel wall time. The sleep is
-/// sliced so it can bail as soon as the cluster reports done — a
-/// degraded node's stretched tile is pure emulation by then, and an
-/// unbroken multi-hundred-ms sleep would pin the whole cluster join on
-/// the straggler (DESIGN.md §15).
+/// sliced so it can bail as soon as the cluster reports done — once
+/// another node has delivered the straggler's in-flight pairs, its
+/// stretched tile is pure emulation, and an unbroken multi-hundred-ms
+/// sleep would pin the whole cluster join on it (DESIGN.md §15).
 void stretch_kernel(Engine& eng, DeviceState& dev,
                     Profiler::Clock::time_point start) {
   if (dev.stretch <= 0.0) return;

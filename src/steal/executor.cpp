@@ -99,10 +99,11 @@ ExecutorStats StealExecutor::run_partition(
   }
   for (auto& t : threads) t.join();
 
-  // On a clean completion done() implies every pair cluster-wide finished,
-  // so the deques drain empty. Leftovers mean the done hook fired early
-  // (a peer node aborted and unblocked the cluster): free them and let
-  // the caller surface the original failure.
+  // done() means every pair cluster-wide was delivered, not that these
+  // deques ran dry: the master may have re-granted or copied their pairs
+  // to other nodes, which finished them first. A peer that aborted also
+  // unblocks done() early; the caller surfaces that failure. Either way,
+  // free what is left.
   std::uint64_t leftover = 0;
   for (auto* deque : deques) {
     while (dnc::Region* region = deque->steal()) {
@@ -111,8 +112,8 @@ ExecutorStats StealExecutor::run_partition(
     }
   }
   if (leftover > 0) {
-    ROCKET_ERROR("partition run released %llu unexecuted pairs after an "
-                 "aborted cluster run",
+    ROCKET_DEBUG("partition run released %llu pairs left in its deques at "
+                 "cluster completion",
                  static_cast<unsigned long long>(leftover));
   }
 

@@ -114,9 +114,10 @@ ByteBuffer FlakyStore::read(const std::string& name) {
     spikes_.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::sleep_for(std::chrono::microseconds(cfg_.spike_us));
   }
+  const auto key = std::make_pair(std::this_thread::get_id(), name);
   if (roll(cfg_.error_rate)) {
     std::scoped_lock lock(mutex_);
-    std::uint32_t& run = consecutive_[name];
+    std::uint32_t& run = consecutive_[key];
     if (run < cfg_.max_consecutive_failures) {
       ++run;
       errors_.fetch_add(1, std::memory_order_relaxed);
@@ -126,7 +127,7 @@ ByteBuffer FlakyStore::read(const std::string& name) {
   }
   {
     std::scoped_lock lock(mutex_);
-    consecutive_.erase(name);
+    consecutive_.erase(key);
   }
   return inner_->read(name);
 }

@@ -20,6 +20,8 @@
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/compress.hpp"
@@ -140,12 +142,12 @@ class TransientStoreError : public std::runtime_error {
 /// Grey-failure chaos decorator: injects seeded transient read errors and
 /// latency spikes — the storage half of the grey-failure model, a store
 /// that times out intermittently but eventually serves every object.
-/// Consecutive injected failures per object are capped, so a bounded
-/// retry budget always wins; exists/size_of/list are never perturbed
-/// (membership queries are assumed cached/cheap). Thread-safe. The draws
-/// follow call order, which depends on how reads land on I/O lanes even
-/// on one node, so which reads fail varies run to run; the per-object
-/// consecutive cap still bounds every failure streak.
+/// Consecutive injected failures per object and reading thread are
+/// capped, so a bounded retry budget always wins; exists/size_of/list are
+/// never perturbed (membership queries are assumed cached/cheap).
+/// Thread-safe. The draws follow call order, which depends on how reads
+/// land on I/O lanes even on one node, so which reads fail varies run to
+/// run; the cap still bounds every load's failure streak.
 class FlakyStore final : public ObjectStore {
  public:
   struct Config {
@@ -153,9 +155,12 @@ class FlakyStore final : public ObjectStore {
     double spike_rate = 0.0;    // P(read sleeps spike_us first)
     std::uint64_t spike_us = 0;
     std::uint64_t seed = 1;
-    /// Cap on consecutive injected failures per object; the next read of
-    /// that object is then forced through, keeping every load winnable
-    /// within a small retry budget.
+    /// Cap on consecutive injected failures per object and reading
+    /// thread; that thread's next read of the object is then forced
+    /// through. A load retries on the thread that issued it, so every
+    /// load stays winnable within a small retry budget however many
+    /// nodes read the object at once (a per-object count lets other
+    /// readers take the forced successes).
     std::uint32_t max_consecutive_failures = 2;
   };
 
@@ -188,7 +193,8 @@ class FlakyStore final : public ObjectStore {
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> spikes_{0};
   mutable std::mutex mutex_;
-  std::map<std::string, std::uint32_t> consecutive_;  // guarded by mutex_
+  std::map<std::pair<std::thread::id, std::string>, std::uint32_t>
+      consecutive_;  // guarded by mutex_
 };
 
 /// Real files rooted at a directory. Each read opens its own stream, so

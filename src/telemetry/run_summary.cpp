@@ -161,10 +161,6 @@ std::string RunSummary::to_json() const {
 
   w.key("health")
       .begin_object()
-      .field("nodes_suspected", r.failover.nodes_suspected)
-      .field("nodes_degraded", r.failover.nodes_degraded)
-      .field("nodes_recovered", r.failover.nodes_recovered)
-      .field("steals_avoided_degraded", r.failover.steals_avoided_degraded)
       .field("load_retries", r.load_retries)
       .field("failed_loads", r.failed_loads)
       .end_object();

@@ -38,33 +38,10 @@ struct NodeStats {
 /// ticker thread each snapshot interval. Empty function = no publisher.
 using NodeStatsFn = std::function<NodeStats()>;
 
-/// Grey-failure health states (DESIGN.md §15). The master's detector
-/// drives alive → suspected → degraded on EWMA progress rates and back on
-/// recovery (hysteresis); lease expiry still means dead, from any state.
-enum class NodeHealth : std::uint8_t {
-  kAlive = 0,
-  kSuspected = 1,  // below the rate threshold for < suspect_intervals
-  kDegraded = 2,   // confirmed straggler: excluded from grants/steals,
-                   // backlog speculated away, lease intact
-  kDead = 3,       // lease expired (the PR-6 verdict, unchanged)
-};
-
-/// One-letter tag for dashboards and the demo's --live-stats table.
-inline char health_letter(NodeHealth health) {
-  switch (health) {
-    case NodeHealth::kAlive: return 'A';
-    case NodeHealth::kSuspected: return 'S';
-    case NodeHealth::kDegraded: return 'D';
-    case NodeHealth::kDead: return 'X';
-  }
-  return '?';
-}
-
 /// Master-side digest of one node's latest sample.
 struct NodeSnapshot {
   std::uint32_t node = 0;
   bool alive = true;
-  NodeHealth health = NodeHealth::kAlive;
   double age_seconds = 0.0;  // since the sample was taken (staleness)
   double pairs_per_sec = 0.0;   // from the last two samples' delta
   double busy_fraction = 0.0;   // busy_seconds delta over lane-time delta

@@ -65,9 +65,6 @@ const char* span_phase_name(SpanPhase phase) {
     case SpanPhase::kRegionAdopt: return "region_adopt";
     case SpanPhase::kFetchRetry: return "fetch_retry";
     case SpanPhase::kMasterFailover: return "master_failover";
-    case SpanPhase::kNodeSuspected: return "node_suspected";
-    case SpanPhase::kNodeDegraded: return "node_degraded";
-    case SpanPhase::kNodeRecovered: return "node_recovered";
     case SpanPhase::kRegionSpeculated: return "region_speculated";
     case SpanPhase::kCount: break;
   }

@@ -88,10 +88,7 @@ enum class SpanPhase : std::uint8_t {
   kRegionAdopt,       // a: adopting node, b: grant epoch
   kFetchRetry,        // a: item id, b: attempt (peer fetch retransmitted)
   kMasterFailover,    // a: adopting node, b: failover epoch (§14)
-  kNodeSuspected,     // a: node below the health rate threshold (§15)
-  kNodeDegraded,      // a: node confirmed as a straggler
-  kNodeRecovered,     // a: node back above the recovery threshold
-  kRegionSpeculated,  // a: healthy node granted to, b: pairs (saturated)
+  kRegionSpeculated,  // a: idle node copied to, b: victim copied from (§15)
   kCount
 };
 

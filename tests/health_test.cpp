@@ -1,10 +1,8 @@
 // Grey-failure resilience tests (DESIGN.md §15): the FlakyStore fault
 // injector, the load pipeline's transient-error retry loop and run-level
-// error budget, the master's node health state machine driven by
-// fabricated telemetry snapshots (alive → suspected → degraded →
-// recovered), straggler backlog speculation, health-aware steal-victim
-// selection, and the hysteresis guarantee that a recovered node becomes
-// grantable again.
+// error budget, the ledger's owed-work accounting, and end-game
+// speculation: which idle node gets a copy of which node's in-flight
+// work, and that the copy's first result wins.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -25,7 +24,7 @@
 #include "mesh/transport.hpp"
 #include "runtime/node_runtime.hpp"
 #include "storage/object_store.hpp"
-#include "telemetry/snapshot.hpp"
+#include "telemetry/span.hpp"
 
 namespace rocket::mesh {
 namespace {
@@ -205,45 +204,69 @@ TEST(ResultLedger, PairsOwedTracksGrantsTransfersAndDeliveries) {
   EXPECT_EQ(ledger.pairs_owed(1), 10u);
 }
 
-// --- node health state machine --------------------------------------------
+// --- end-game speculation -------------------------------------------------
 
-/// Three MeshNodes with the health detector live on the master and NO
-/// runtimes or tickers: telemetry snapshots are fabricated by the test,
-/// so every rate — and therefore every verdict — is scripted. The master
-/// holds a real ledger (grants pin the owed-work guard open).
-struct HealthHarness {
-  static constexpr std::uint32_t kNodes = 3;
-  static constexpr dnc::ItemIndex kItems = 30;
+/// Poll `done` until it holds or ten seconds pass.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+constexpr dnc::ItemIndex kEndGameItems = 24;
+
+/// Every pair (i, j), j > i, of rows [begin, end).
+dnc::Region rows(dnc::ItemIndex begin, dnc::ItemIndex end) {
+  return dnc::Region{begin, end, begin + 1, kEndGameItems, 0};
+}
+
+/// Four MeshNodes with no runtimes, tickers or exporters: every steal
+/// comes back empty, so each remote_steal call sends the master a real
+/// IdleNotice. Results are delivered by hand. Initial leases, in pairs:
+/// node 0 owes 45, node 1 (the straggler) 111, node 2 54 and node 3 66.
+struct EndGameMesh {
+  static constexpr std::uint32_t kNodes = 4;
 
   InProcessTransport transport{kNodes};
   std::shared_ptr<std::atomic<bool>> done =
       std::make_shared<std::atomic<bool>>(false);
+  telemetry::SpanLog master_spans{MeshNode::kMaster};
+  const std::vector<std::vector<dnc::Region>> grants = {
+      {rows(0, 2)}, {rows(2, 8)}, {rows(8, 12)}, {rows(12, 23)}};
+  std::mutex mutex;
+  std::map<std::pair<ItemId, ItemId>, int> deliveries;  // guarded by mutex
   std::vector<std::unique_ptr<MeshNode>> nodes;
-  std::vector<std::uint64_t> pairs = std::vector<std::uint64_t>(kNodes, 0);
-  std::vector<std::uint64_t> seq = std::vector<std::uint64_t>(kNodes, 0);
   bool joined = false;
 
-  HealthHarness() {
+  explicit EndGameMesh(bool speculation = true) {
     for (NodeId id = 0; id < kNodes; ++id) {
       MeshNode::Config mc;
       mc.id = id;
+      mc.speculation = speculation;
       if (id == MeshNode::kMaster) {
-        mc.ledger_items = kItems;
-        mc.initial_grants = dnc::partition_root(kItems, kNodes, 2);
-        mc.degraded_rate_fraction = 0.5;
-        mc.suspect_intervals = 2;
-        mc.recover_rate_fraction = 0.7;
-        mc.recover_intervals = 2;
-        mc.health_ewma_alpha = 1.0;  // rate == last delta: fully scripted
-        mc.speculation_regions_per_interval = 2;
+        mc.spans = &master_spans;
+        mc.ledger_items = kEndGameItems;
+        mc.initial_grants = grants;
+        mc.expected_pairs = dnc::count_pairs(dnc::root_region(kEndGameItems));
+        mc.result_batch_pairs = 1;
+        mc.on_result = [this](const PairResult& r) {
+          std::scoped_lock lock(mutex);
+          ++deliveries[{r.left, r.right}];
+        };
       }
       nodes.push_back(std::make_unique<MeshNode>(mc, transport, done));
     }
     for (auto& node : nodes) node->start();
   }
 
-  ~HealthHarness() { shutdown(); }
+  ~EndGameMesh() { shutdown(); }
 
+  /// failover_stats() is safe to read only after this.
   void shutdown() {
     if (joined) return;
     joined = true;
@@ -251,151 +274,215 @@ struct HealthHarness {
     for (auto& node : nodes) node->join();
   }
 
-  /// One telemetry interval: bump each node's cumulative pair counter by
-  /// the given delta and publish all three snapshots, the master's own
-  /// LAST (its arrival is the evaluation metronome).
-  void round(std::uint64_t d0, std::uint64_t d1, std::uint64_t d2) {
-    // Spacing between rounds gives every per-node sample pair a real,
-    // strictly positive arrival delta.
-    std::this_thread::sleep_for(std::chrono::milliseconds(4));
-    const std::uint64_t deltas[kNodes] = {d0, d1, d2};
-    for (NodeId id = kNodes; id-- > 0;) {  // 2, 1, then master 0 last
-      pairs[id] += deltas[id];
-      TelemetrySnapshot snap;
-      snap.node = id;
-      snap.seq = ++seq[id];
-      snap.stats.pairs = pairs[id];
-      transport.send(id, MeshNode::kMaster, net::Tag::kTelemetry, snap);
-    }
-    // Let the master's service thread drain the inbox before the caller
-    // inspects verdicts.
-    std::this_thread::sleep_for(std::chrono::milliseconds(4));
+  /// `from` reports a result for every pair of `region`; the master
+  /// handles it after everything already in its inbox.
+  void deliver(NodeId from, const dnc::Region& region) {
+    ResultMsg msg;
+    dnc::for_each_pair(region, [&](const dnc::Pair& pair) {
+      msg.results.push_back(PairResult{pair.left, pair.right, 1.0});
+    });
+    transport.send(from, MeshNode::kMaster, net::Tag::kResult,
+                   std::move(msg));
   }
 
-  /// Spin until `observer` sees `node` in `state` (gossip is async).
-  bool await_health(NodeId observer, NodeId node,
-                    telemetry::NodeHealth state, double timeout_s = 5.0) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(timeout_s);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (nodes[observer]->health_of(node) == state) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return false;
+  /// Deliver `node`'s whole initial lease and wait until it is accepted.
+  void finish(NodeId node) {
+    deliver(node, grants[node][0]);
+    sync(MeshNode::kMaster);
   }
 
-  /// Spin until `node` adopts a region (a speculated grant reached it).
-  bool await_adoption(NodeId node, double timeout_s = 5.0) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(timeout_s);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (nodes[node]->remote_steal(0).has_value()) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  /// Returns once `node` has handled every message already in its inbox:
+  /// a directory request queued behind them counts when it is served.
+  /// Transport counters count a message just before it is queued, so a
+  /// sender is synced before its receiver.
+  void sync(NodeId node) {
+    const auto before = nodes[node]->directory_stats().requests;
+    transport.send(node, node, net::Tag::kCacheRequest,
+                   CacheRequest{0, node, {}});
+    ASSERT_TRUE(eventually(
+        [&] { return nodes[node]->directory_stats().requests > before; }));
+  }
+
+  std::uint64_t notices_sent(NodeId node) const {
+    return transport.node_counters(node)
+        .per_tag[static_cast<std::size_t>(net::Tag::kFailover)]
+        .messages;
+  }
+
+  /// Steal (and so notify) from `node` until it has sent `count` more
+  /// notices, then wait until the master has handled them.
+  void idle(NodeId node, std::uint64_t count) {
+    const auto target = notices_sent(node) + count;
+    ASSERT_TRUE(eventually([&] {
+      (void)nodes[node]->remote_steal(0);
+      return notices_sent(node) >= target;
+    }));
+    sync(node);
+    sync(MeshNode::kMaster);
+  }
+
+  /// Steal from `node` until it has adopted `count` granted regions.
+  std::vector<dnc::Region> collect_copies(NodeId node, std::size_t count) {
+    std::vector<dnc::Region> regions;
+    EXPECT_TRUE(eventually([&] {
+      if (auto region = nodes[node]->remote_steal(0)) {
+        regions.push_back(*region);
+      }
+      return regions.size() >= count;
+    }));
+    return regions;
+  }
+
+  /// The master's region_speculated instants: (copied to, copied from).
+  std::vector<std::pair<NodeId, NodeId>> copies() const {
+    std::vector<std::pair<NodeId, NodeId>> out;
+    for (const auto& r : master_spans.records()) {
+      if (r.instant() && r.phase == telemetry::SpanPhase::kRegionSpeculated) {
+        out.emplace_back(r.a, r.b);
+      }
     }
-    return false;
+    return out;
   }
 };
 
-TEST(NodeHealth, StragglerIsSuspectedDegradedSpeculatedAndRecovers) {
-  using telemetry::NodeHealth;
-  HealthHarness mesh;
-
-  // Round 1 is the baseline sample (no rate yet); rounds 2-3 show node 2
-  // far below the cluster median.
-  mesh.round(0, 0, 0);
-  mesh.round(1000, 1000, 10);
-  EXPECT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kSuspected);
-  EXPECT_EQ(mesh.nodes[0]->health_of(1), NodeHealth::kAlive);
-  mesh.round(1000, 1000, 10);
-  EXPECT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kDegraded);
-
-  // The verdict is gossiped: every peer's steal-victim selection sees it.
-  EXPECT_TRUE(mesh.await_health(1, 2, NodeHealth::kDegraded));
-  EXPECT_TRUE(mesh.await_health(2, 2, NodeHealth::kDegraded));
-
-  // Degradation fired speculation: a slice of node 2's backlog was
-  // re-granted to the healthy nodes, and node 1 adopts its share.
-  EXPECT_TRUE(mesh.await_adoption(1))
-      << "a speculated region must reach a healthy node";
-
-  // While the straggler is degraded, node 1's victim sweeps skip it
-  // (counted below, once the service threads have joined).
-  (void)mesh.nodes[1]->remote_steal(0);
-
-  // Recovery hysteresis: two consecutive healthy intervals above the
-  // recover threshold flip node 2 back to alive.
-  mesh.round(1000, 1000, 1000);
-  EXPECT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kDegraded)
-      << "one good interval must not recover (hysteresis)";
-  mesh.round(1000, 1000, 1000);
-  EXPECT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kAlive);
-  EXPECT_TRUE(mesh.await_health(1, 2, NodeHealth::kAlive));
-
-  // failover_stats() is only safe after join(); both reads are
-  // cumulative counters, so they still see the degraded window.
-  mesh.shutdown();
-  EXPECT_GT(mesh.nodes[1]->failover_stats().steals_avoided_degraded, 0u);
-  const FailoverStats stats = mesh.nodes[0]->failover_stats();
-  EXPECT_GE(stats.nodes_suspected, 1u);
-  EXPECT_EQ(stats.nodes_degraded, 1u);
-  EXPECT_EQ(stats.nodes_recovered, 1u);
-  EXPECT_GT(stats.regions_speculated, 0u);
-  EXPECT_GT(stats.pairs_speculated, 0u);
-}
-
-TEST(NodeHealth, RecoveredNodeReceivesSpeculatedGrantsAgain) {
-  using telemetry::NodeHealth;
-  HealthHarness mesh;
-
-  // Degrade node 2, then recover it (as above, compressed).
-  mesh.round(0, 0, 0);
-  mesh.round(1000, 1000, 10);
-  mesh.round(1000, 1000, 10);
-  ASSERT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kDegraded);
-  mesh.round(1000, 1000, 1000);
-  mesh.round(1000, 1000, 1000);
-  ASSERT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kAlive);
-
-  // Now node 1 degrades. The healthy set is {0, 2}: the RECOVERED node
-  // must be grantable again — hysteresis ends its exclusion.
-  mesh.round(1000, 10, 1000);
-  mesh.round(1000, 10, 1000);
-  ASSERT_EQ(mesh.nodes[0]->health_of(1), NodeHealth::kDegraded);
-  bool adopted = false;
-  for (int i = 0; i < 50 && !adopted; ++i) {
-    mesh.round(1000, 10, 1000);  // each interval drains another slice
-    adopted = mesh.nodes[2]->remote_steal(0).has_value();
+std::set<std::pair<ItemId, ItemId>> pairs_of(
+    const std::vector<dnc::Region>& regions) {
+  std::set<std::pair<ItemId, ItemId>> out;
+  for (const auto& region : regions) {
+    dnc::for_each_pair(region, [&](const dnc::Pair& pair) {
+      out.emplace(pair.left, pair.right);
+    });
   }
-  EXPECT_TRUE(adopted)
-      << "a recovered node must receive speculated grants again";
-
-  // A one-interval dip must clear a suspicion without degrading.
-  mesh.round(1000, 1000, 10);
-  EXPECT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kSuspected);
-  mesh.round(1000, 1000, 1000);
-  EXPECT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kAlive);
+  return out;
 }
 
-TEST(NodeHealth, DeathVerdictOutranksGossipAndFreezesState) {
-  using telemetry::NodeHealth;
-  HealthHarness mesh;
+TEST(EndGame, IdleNodeReceivesACopyOfTheStragglersInFlightWork) {
+  EndGameMesh mesh;
+  mesh.finish(2);
 
-  mesh.round(0, 0, 0);
-  mesh.round(1000, 1000, 10);
-  mesh.round(1000, 1000, 10);
-  ASSERT_EQ(mesh.nodes[0]->health_of(2), NodeHealth::kDegraded);
+  // Node 1 owes the most: one row run per row 2..7. The idle node gets
+  // about half of them, the first three rows.
+  const auto regions = mesh.collect_copies(2, 3);
+  EXPECT_EQ(pairs_of(regions), pairs_of({rows(2, 5)}));
+  mesh.sync(MeshNode::kMaster);
+  const std::vector<std::pair<NodeId, NodeId>> expected(3, {2, 1});
+  EXPECT_EQ(mesh.copies(), expected);
 
-  // Node 1 learns of node 2's death (e.g. a lease verdict broadcast).
-  // Late health gossip about the corpse must not resurrect it.
-  mesh.transport.send(0, 1, net::Tag::kFailover, NodeDown{2, 0});
-  EXPECT_TRUE(mesh.await_health(1, 2, NodeHealth::kDead));
+  mesh.shutdown();
+  const FailoverStats stats = mesh.nodes[0]->failover_stats();
+  EXPECT_EQ(stats.regions_speculated, 3u);
+  EXPECT_EQ(stats.pairs_speculated, 21u + 20u + 19u);
+  EXPECT_EQ(mesh.nodes[2]->failover_stats().regions_adopted, 3u);
+}
 
-  mesh.transport.send(
-      0, 1, net::Tag::kFailover,
-      HealthUpdate{2, static_cast<std::uint8_t>(NodeHealth::kAlive), 1000});
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(mesh.nodes[1]->health_of(2), NodeHealth::kDead)
-      << "dead outranks any health gossip";
+TEST(EndGame, CopiesComeOnlyFromTheMostIndebtedLiveNode) {
+  EndGameMesh mesh;
+  // Node 1 delivers rows 2..4 and owes 51; node 3 now owes the most (66).
+  mesh.deliver(1, rows(2, 5));
+  mesh.finish(2);
+
+  // While node 2 can reach only nodes 0 and 1, its notices name nodes
+  // that owe less than node 3, and the master grants nothing.
+  mesh.transport.set_link_down(2, 3);
+  mesh.idle(2, 20);
+  EXPECT_TRUE(mesh.copies().empty());
+
+  // Once node 3 is reachable, the copy comes from node 3: rows 12..17,
+  // six of its eleven row runs.
+  mesh.transport.set_link_down(2, 3, false);
+  const auto regions = mesh.collect_copies(2, 6);
+  EXPECT_EQ(pairs_of(regions), pairs_of({rows(12, 18)}));
+  mesh.sync(MeshNode::kMaster);
+  const std::vector<std::pair<NodeId, NodeId>> expected(6, {2, 3});
+  EXPECT_EQ(mesh.copies(), expected);
+}
+
+TEST(EndGame, NoPairIsCopiedTwiceWhenTwoNodesIdleInTurn) {
+  EndGameMesh mesh;
+  mesh.finish(2);
+  mesh.finish(3);
+
+  // Node 2 copies rows 2..4 of node 1 and now owes 60 pairs, more than
+  // node 1's remaining 51; but a copy holder is never a source. Node 3's
+  // copy is the first two of node 1's remaining rows 5..7.
+  const auto first = mesh.collect_copies(2, 3);
+  const auto second = mesh.collect_copies(3, 2);
+  EXPECT_EQ(pairs_of(first), pairs_of({rows(2, 5)}));
+  EXPECT_EQ(pairs_of(second), pairs_of({rows(5, 7)}));
+
+  mesh.sync(MeshNode::kMaster);
+  const auto copies = mesh.copies();
+  ASSERT_EQ(copies.size(), 5u);
+  for (const auto& [to, from] : copies) EXPECT_EQ(from, 1u);
+
+  mesh.shutdown();
+  EXPECT_EQ(mesh.nodes[0]->failover_stats().pairs_speculated,
+            pairs_of(first).size() + pairs_of(second).size());
+}
+
+TEST(EndGame, NodeThatOwesPairsGetsNothing) {
+  EndGameMesh mesh;
+  // Node 2 delivers all but its last pair (11, 23).
+  mesh.deliver(2, rows(8, 11));
+  mesh.deliver(2, dnc::Region{11, 12, 12, 23, 0});
+  mesh.idle(2, 20);
+  EXPECT_TRUE(mesh.copies().empty()) << "a node that owes pairs is busy";
+
+  // Its next notices are granted once the last pair lands.
+  mesh.deliver(2, dnc::Region{11, 12, 23, 24, 0});
+  EXPECT_EQ(mesh.collect_copies(2, 3).size(), 3u);
+}
+
+TEST(EndGame, SpeculationOffGrantsNothing) {
+  EndGameMesh mesh(/*speculation=*/false);
+  mesh.finish(2);
+
+  // Twenty empty replies reach node 2 and are handled, with no notice.
+  const auto replies = [&] {
+    std::uint64_t sum = 0;
+    for (NodeId k : {0u, 1u, 3u}) {
+      sum += mesh.transport.node_counters(k)
+                 .per_tag[static_cast<std::size_t>(net::Tag::kStealReply)]
+                 .messages;
+    }
+    return sum;
+  };
+  ASSERT_TRUE(eventually([&] {
+    EXPECT_FALSE(mesh.nodes[2]->remote_steal(0).has_value());
+    return replies() >= 20;
+  }));
+  for (NodeId k : {1u, 3u, 0u, 2u, 0u}) mesh.sync(k);
+  EXPECT_EQ(mesh.notices_sent(2), 0u);
+  EXPECT_TRUE(mesh.copies().empty());
+
+  mesh.shutdown();
+  EXPECT_EQ(mesh.nodes[0]->failover_stats().regions_speculated, 0u);
+}
+
+TEST(EndGame, OwnersLateResultForACopiedPairIsDroppedAndDeliveredOnce) {
+  EndGameMesh mesh;
+  mesh.finish(2);
+  const auto copied = mesh.collect_copies(2, 3);
+
+  // The copy finishes first; the straggler's results for the same rows
+  // arrive late. Then everything else lands.
+  for (const auto& region : copied) mesh.deliver(2, region);
+  mesh.deliver(1, rows(2, 8));
+  mesh.deliver(0, rows(0, 2));
+  mesh.deliver(3, rows(12, 23));
+  mesh.sync(MeshNode::kMaster);
+  const std::uint64_t total =
+      dnc::count_pairs(dnc::root_region(kEndGameItems));
+
+  {
+    std::scoped_lock lock(mesh.mutex);
+    EXPECT_EQ(mesh.deliveries.size(), total);
+    for (const auto& [pair, times] : mesh.deliveries) EXPECT_EQ(times, 1);
+  }
+  mesh.shutdown();
+  const FailoverStats stats = mesh.nodes[0]->failover_stats();
+  EXPECT_EQ(stats.duplicate_results_dropped, pairs_of(copied).size());
+  EXPECT_EQ(stats.results_received, total + pairs_of(copied).size());
 }
 
 }  // namespace
