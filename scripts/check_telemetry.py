@@ -57,6 +57,10 @@ CHECKPOINT_KEYS = [
 HISTOGRAM_KEYS = ["name", "count", "mean_s", "p50_s", "p99_s", "min_s",
                   "max_s"]
 
+NODE_KEYS = ["node", "pairs", "tiles", "io_lanes", "admission"]
+
+ADMISSION_KEYS = ["tiles_in_flight", "tile_ws_budget", "shards"]
+
 
 def fail(message):
     print(f"check_telemetry: FAIL: {message}", file=sys.stderr)
@@ -114,6 +118,19 @@ def check_summary(path, nodes, expect_master_failover=False,
         if not tile["chain"]:
             fail(f"{path}: slowest tile {tile['trace']} has an empty "
                  f"causal chain")
+    for node in doc["nodes"]:
+        for key in NODE_KEYS:
+            if key not in node:
+                fail(f"{path}: node entry missing {key!r}")
+        for device in node["admission"]:
+            for key in ADMISSION_KEYS:
+                if key not in device:
+                    fail(f"{path}: node {node['node']} admission entry "
+                         f"missing {key!r}")
+        lanes = sum(d["tiles_in_flight"] for d in node["admission"])
+        if node["io_lanes"] != lanes:
+            fail(f"{path}: node {node['node']} runs {node['io_lanes']} I/O "
+                 f"lanes for {lanes} tiles in flight")
     for hist in doc["metrics"]["histograms"]:
         for key in HISTOGRAM_KEYS:
             if key not in hist:

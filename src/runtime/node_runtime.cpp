@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -89,11 +90,14 @@ struct DeviceState {
   MpmcQueue<Task> gpu_q, h2d_q, d2h_q;
   std::size_t gpu_lane = 0, h2d_lane = 0, d2h_lane = 0;
   double stretch = 0.0;  // extra sleep per kernel second (heterogeneity)
-  /// Max distinct items one tile may pin; sized so that (tiles in flight)
-  /// × (working set per tile) never exceeds the slot count — the
-  /// invariant that makes batched pinning deadlock-free.
-  std::uint32_t tile_ws_budget = 2;
-  std::atomic<std::uint64_t> pairs{0};
+  /// Tiles in flight, per-tile working-set budget and shard count
+  /// (admit_tiles): tiles × budget never exceeds the smallest shard's
+  /// slots — the invariant that makes batched pinning deadlock-free.
+  TileAdmission admission;
+  /// Per-tile counters, written from several threads: a cache line of
+  /// their own keeps them off the lines of the queues above, which other
+  /// threads lock.
+  alignas(64) std::atomic<std::uint64_t> pairs{0};
   /// Tiles admitted on this device and not yet finished.
   std::atomic<std::uint32_t> in_flight{0};
   /// Tiles whose compare task is queued or running on this device. A tile
@@ -879,7 +883,7 @@ void submit_tile(Engine& eng, const dnc::Region& region,
                  std::uint32_t worker) {
   DeviceState& dev = *eng.devices[worker];
   if (dnc::count_pairs(region) == 0) return;
-  if (dnc::working_set_size(region) > dev.tile_ws_budget &&
+  if (dnc::working_set_size(region) > dev.admission.tile_ws_budget &&
       dnc::count_pairs(region) > 1) {
     for (const auto& sub : dnc::split(region)) submit_tile(eng, sub, worker);
     return;
@@ -908,6 +912,36 @@ struct HostProbe final : HostCacheProbe {
 };
 
 }  // namespace
+
+TileAdmission admit_tiles(std::uint32_t slots, std::uint32_t job_limit,
+                          std::uint32_t shards_requested,
+                          std::uint64_t max_leaf_pairs) {
+  if (job_limit == 0) {
+    throw std::invalid_argument("job_limit_per_worker must be at least 1");
+  }
+  if (max_leaf_pairs == 0) {
+    throw std::invalid_argument("max_leaf_pairs must be at least 1");
+  }
+  ROCKET_CHECK(slots >= 2, "a device cache needs at least two slots");
+  // A square leaf of ⌊√max_leaf_pairs⌋ rows and columns pins twice that
+  // many items, capped at half the slots (the count stops once past it).
+  const std::uint32_t half = slots / 2;
+  std::uint64_t side = 1;
+  while (side <= half / 2 && (side + 1) * (side + 1) <= max_leaf_pairs) {
+    ++side;
+  }
+  const auto leaf_ws = static_cast<std::uint32_t>(
+      std::max<std::uint64_t>(2, std::min<std::uint64_t>(2 * side, half)));
+  TileAdmission a;
+  a.tiles_in_flight = std::min(job_limit, slots / leaf_ws);
+  // Any shard count up to slots / (tiles × leaf_ws) leaves every shard
+  // room for all tiles' working sets at once.
+  a.shards = std::max(1u, std::min(shards_requested,
+                                   slots / (a.tiles_in_flight * leaf_ws)));
+  // Slots a shard holds beyond that widen the tiles.
+  a.tile_ws_budget = slots / a.shards / a.tiles_in_flight;
+  return a;
+}
 
 NodeRuntime::Report NodeRuntime::run(const Application& app,
                                      storage::ObjectStore& store,
@@ -941,8 +975,9 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
   eng.done = std::make_unique<CountdownLatch>(0);
 
   // Cache sharding degree: explicit, or min(16, hardware threads). Every
-  // cache clamps further so each shard keeps at least two slots, and the
-  // device caches clamp to preserve the batched-pinning invariant below.
+  // cache clamps further so each shard keeps at least two slots, and a
+  // device cache gets only the shards its tiles leave room for
+  // (admit_tiles).
   const std::uint32_t hw_threads =
       std::max(1u, std::thread::hardware_concurrency());
   const std::uint32_t shards_requested =
@@ -974,19 +1009,15 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
                              : spec.cache_capacity();
     const auto slots = std::max(
         2u, cache::slots_for_capacity(budget, app.slot_size(), n));
-    // Deadlock-freedom with sharding (DESIGN.md §10): item hashing can in
-    // the worst case land every pin of every in-flight job in ONE shard,
-    // so the per-shard slot supply must cover the whole concurrent pin
-    // demand. Clamp the shard count so each shard holds at least two pins
-    // per in-flight job, then rederive the job limit and the tile budget
-    // from the smallest shard instead of the whole cache.
-    const auto limit0 = std::min(config_.job_limit_per_worker,
-                                 std::max<std::uint32_t>(1, slots / 2));
-    const std::uint32_t dev_shards = std::min(
-        shards_requested, std::max(1u, slots / std::max(2u, 2 * limit0)));
+    dev->admission = admit_tiles(slots, config_.job_limit_per_worker,
+                                 shards_requested, config_.max_leaf_pairs);
     dev->cache = std::make_unique<cache::ShardedSlotCache>(
         cache::ShardedSlotCache::Config{slots, app.slot_size(), "device",
-                                        dev_shards, n});
+                                        dev->admission.shards, n});
+    ROCKET_CHECK(dev->admission.tiles_in_flight *
+                         dev->admission.tile_ws_budget <=
+                     dev->cache->min_shard_slots(),
+                 "tile admission exceeds the smallest device-cache shard");
     dev->slots.resize(slots);
     if (config_.emulate_heterogeneity && spec.relative_speed > 0.0) {
       dev->stretch = max_speed / spec.relative_speed - 1.0;
@@ -1001,15 +1032,7 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
                                           spec.name + ")");
     dev->h2d_lane = eng.profiler.add_lane("h2d" + std::to_string(d));
     dev->d2h_lane = eng.profiler.add_lane("d2h" + std::to_string(d));
-
-    const auto min_shard = dev->cache->min_shard_slots();
-    const auto limit =
-        std::min(limit0, std::max<std::uint32_t>(1, min_shard / 2));
-    // `limit` tiles in flight, each pinning at most min_shard/limit items:
-    // concurrent pin demand can never exceed the slot supply of any single
-    // shard, so batched pinning cannot deadlock even if a whole working
-    // set hashes into one shard (DESIGN.md §6, §10, §11).
-    dev->tile_ws_budget = std::max(2u, min_shard / limit);
+    const std::uint32_t limit = dev->admission.tiles_in_flight;
     eng.devices.push_back(std::move(dev));
     eng.job_limits.push_back(std::make_unique<Semaphore>(limit));
     tiles_in_flight += limit;
@@ -1185,7 +1208,9 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
     report.host_cache = eng.host_cache->stats();
     report.cache_fast_hits += eng.host_cache->fast_hits();
   }
+  report.io_lanes = tiles_in_flight;
   for (const auto& dev : eng.devices) {
+    report.admission.push_back(dev->admission);
     report.device_caches.push_back(dev->cache->stats());
     report.pairs_per_device.push_back(dev->pairs.load());
     report.cache_fast_hits += dev->cache->fast_hits();

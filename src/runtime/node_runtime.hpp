@@ -9,7 +9,7 @@
 // the same SlotCache policy objects as the simulator (Fig 4 semantics):
 // device-level cache per GPU, node-level host cache shared by all GPUs. The
 // divide-and-conquer work-stealing executor (§4.2) drives submission, one
-// worker per GPU, throttled by the concurrent-job limit.
+// worker per GPU, throttled by the tiles each device admits (admit_tiles).
 //
 // "GPU" kernels execute as real CPU code against device-resident buffers;
 // heterogeneity is emulated by stretching kernel wall time on slower
@@ -86,6 +86,27 @@ struct ResultBatch {
   telemetry::SpanContext span;
 };
 
+/// How one device splits its cache between tiles and shards.
+struct TileAdmission {
+  std::uint32_t tiles_in_flight = 0;  // the job-limit semaphore's count
+  std::uint32_t tile_ws_budget = 0;   // distinct items one tile may pin
+  std::uint32_t shards = 0;           // device-cache shard count
+};
+
+/// Admission of one device with `slots` cache slots (DESIGN.md §11.1).
+/// Tiles are sized first: a tile may pin a whole square leaf of
+/// `max_leaf_pairs` pairs, 2⌊√max_leaf_pairs⌋ items, capped at half the
+/// slots so one tile loads while another computes (§4.3). Then as many
+/// such tiles as the slots hold are admitted, at most `job_limit`, and
+/// the shards take what is left: at most `shards_requested`, each holding
+/// every tile's working set. Tiles in flight × budget therefore never
+/// exceed the smallest shard, the deadlock-freedom invariant of batched
+/// pinning (§6.2, §10.4). Throws std::invalid_argument when `job_limit`
+/// or `max_leaf_pairs` is 0, naming the NodeRuntime::Config field.
+TileAdmission admit_tiles(std::uint32_t slots, std::uint32_t job_limit,
+                          std::uint32_t shards_requested,
+                          std::uint64_t max_leaf_pairs);
+
 class NodeRuntime {
  public:
   struct Config {
@@ -103,18 +124,18 @@ class NodeRuntime {
     /// Shard count for the host and device software caches
     /// (cache::ShardedSlotCache). 0 = auto: min(16, hardware threads).
     /// 1 reproduces the historical single-lock policy exactly (the
-    /// simulator/paper-replay escape hatch). Device caches may be clamped
-    /// further so the batched-pinning deadlock-freedom invariant holds
-    /// per shard (see DESIGN.md §10).
+    /// simulator/paper-replay escape hatch). A device cache gets only the
+    /// shards its slots still fill once the tiles in flight hold their
+    /// working sets (admit_tiles, DESIGN.md §10.4), so a small device
+    /// cache runs unsharded.
     std::uint32_t cache_shards = 0;
 
-    /// Concurrent tile jobs per worker (§4.2), the node's only admission
-    /// budget. Clamped to half the slot count of the smallest device-cache
-    /// shard; each tile's working set is capped at (shard slots / tiles in
-    /// flight) so the concurrent pin demand can never exceed the slot
-    /// supply. While one tile computes, the others load: the limit is also
-    /// the look-ahead depth (§4.3), and each tile in flight gets its own
-    /// I/O lane (DESIGN.md §6, §11).
+    /// Cap on concurrent tile jobs per worker (§4.2); at least 1. Each
+    /// device first sizes its tiles (max_leaf_pairs below), then admits
+    /// as many such tiles as its slots hold, up to this cap (admit_tiles).
+    /// While one tile computes, the others load: the tiles in flight are
+    /// also the look-ahead depth (§4.3), and each gets its own I/O lane
+    /// (DESIGN.md §6, §11).
     std::uint32_t job_limit_per_worker = 8;
 
     /// Leaf visitation order (dnc::Traversal) of run() and of a mesh
@@ -125,9 +146,11 @@ class NodeRuntime {
     /// cache); kRowMajor is the locality baseline for head-to-heads.
     dnc::Traversal leaf_order = dnc::Traversal::kDepthFirst;
 
-    /// Leaf budget of the divide-and-conquer decomposition (§4.2). Leaves
-    /// near the device working-set budget amortise pins and queue hops
-    /// best; 64 pairs ≈ a 8×8 tile.
+    /// Leaf budget of the divide-and-conquer decomposition (§4.2); at
+    /// least 1. It also sizes tiles: a tile may pin the working set of a
+    /// whole square leaf, 2⌊√max_leaf_pairs⌋ items (16 for the default
+    /// 8×8 leaf), capped at half the device cache so two tiles stay in
+    /// flight. 1 gives two-item, one-pair tiles.
     std::uint64_t max_leaf_pairs = 64;
     std::uint64_t seed = 1;
 
@@ -229,6 +252,10 @@ class NodeRuntime {
     /// Spans discarded at the profiler's per-lane cap
     /// (Profiler::kDefaultSpanCap).
     std::uint64_t spans_dropped = 0;
+    /// The admission each device ran with (admit_tiles).
+    std::vector<TileAdmission> admission;
+    /// I/O lanes: one per tile the node may hold in flight.
+    std::uint32_t io_lanes = 0;
   };
 
   /// Called once per completed pair, serialised by the runtime.

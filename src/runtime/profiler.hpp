@@ -112,8 +112,8 @@ class Profiler {
   /// Fixed lane slab: lanes are indexed without a lock on the busy path,
   /// so they must never relocate. The runtime registers three lanes per
   /// device, one per CPU-pool thread and one I/O lane per tile in flight
-  /// (8 per device at the default job limit); 192 is far beyond any
-  /// configuration in this repository.
+  /// (at most the job limit per device, 8 by default); 192 is far beyond
+  /// any configuration in this repository.
   static constexpr std::size_t kMaxLanes = 192;
 
   struct Lane {

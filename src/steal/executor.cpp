@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "common/log.hpp"
@@ -30,6 +31,12 @@ void StealExporter::install(std::vector<ChaseLevDeque<dnc::Region>*>* deques) {
 void StealExporter::uninstall() {
   std::scoped_lock lock(mutex_);
   deques_ = nullptr;
+}
+
+StealExecutor::StealExecutor(Config config) : config_(config) {
+  if (config_.max_leaf_pairs == 0) {
+    throw std::invalid_argument("max_leaf_pairs must be at least 1");
+  }
 }
 
 ExecutorStats StealExecutor::run(dnc::ItemIndex n, const LeafFn& leaf) {

@@ -91,7 +91,9 @@ class StealExecutor {
   /// leaf regions is exactly the root pair set.
   using LeafFn = std::function<void(const dnc::Region&, std::uint32_t)>;
 
-  explicit StealExecutor(Config config) : config_(config) {}
+  /// Throws std::invalid_argument when max_leaf_pairs is 0: a one-pair
+  /// region would split into itself forever.
+  explicit StealExecutor(Config config);
 
   /// Execute the full n-item all-pairs decomposition. Blocks until every
   /// pair has been handed to `leaf`. Returns aggregate stats.

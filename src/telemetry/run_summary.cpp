@@ -250,7 +250,18 @@ std::string RunSummary::to_json() const {
         .field("acquire_retries", node.acquire_retries)
         .field("load_retries", node.load_retries)
         .field("failed_loads", node.failed_loads)
-        .field("spans_dropped", node.spans_dropped);
+        .field("spans_dropped", node.spans_dropped)
+        .field("io_lanes", node.io_lanes);
+    // One entry per device: how its cache was split (admit_tiles).
+    w.key("admission").begin_array();
+    for (const runtime::TileAdmission& a : node.admission) {
+      w.begin_object()
+          .field("tiles_in_flight", a.tiles_in_flight)
+          .field("tile_ws_budget", a.tile_ws_budget)
+          .field("shards", a.shards)
+          .end_object();
+    }
+    w.end_array();
     w.key("host_cache");
     write_cache_stats(w, node.host_cache);
     w.key("steal")

@@ -463,7 +463,9 @@ struct ChaosOutcome {
 };
 
 /// A 4-node cluster with an aggressive failover clock (millisecond leases
-/// and fetch deadlines) and the given kill schedule.
+/// and fetch deadlines) and the given kill schedule. One-pair leaves keep
+/// two-item tiles, one result message per pair, so the message-count
+/// kill points land mid-run.
 ChaosOutcome run_chaos(const runtime::Application& app,
                        storage::ObjectStore& store, FaultSchedule faults) {
   LiveClusterConfig cfg;
@@ -472,6 +474,7 @@ ChaosOutcome run_chaos(const runtime::Application& app,
   cfg.node.host_cache_capacity = 64_MiB;
   cfg.node.cpu_threads = 2;
   cfg.node.cache_shards = 2;
+  cfg.node.max_leaf_pairs = 1;
   cfg.hop_limit = 2;
   cfg.max_chain_hops = 1;  // exercise the chain-walk cap under churn
   cfg.heartbeat_interval_s = 0.005;
@@ -1046,9 +1049,10 @@ struct DurableOutcome {
 /// The run_chaos cluster with the durability layer fully engaged: small
 /// flush batches (so crashes land between flushes), an optional journal,
 /// and a callback safe against the master role moving across service
-/// threads mid-run. `multi_pair_tiles` allows one tile in flight per
-/// device, which lets a tile's working set grow to a whole cache shard:
-/// tiles, and so result messages, then carry many pairs each.
+/// threads mid-run. Without `multi_pair_tiles`, one-pair leaves keep the
+/// run_chaos two-item tiles. `multi_pair_tiles` allows one tile in flight
+/// per device, which lets a tile's working set grow to a whole cache
+/// shard: tiles, and so result messages, then carry many pairs each.
 DurableOutcome run_durable(const runtime::Application& app,
                            storage::ObjectStore& store, FaultSchedule faults,
                            storage::ObjectStore* checkpoint = nullptr,
@@ -1067,7 +1071,11 @@ DurableOutcome run_durable(const runtime::Application& app,
   cfg.fetch_timeout_s = 0.02;
   cfg.max_fetch_retries = 2;
   cfg.journal_batch_pairs = 8;
-  if (multi_pair_tiles) cfg.node.job_limit_per_worker = 1;
+  if (multi_pair_tiles) {
+    cfg.node.job_limit_per_worker = 1;
+  } else {
+    cfg.node.max_leaf_pairs = 1;
+  }
   cfg.checkpoint_store = checkpoint;
   cfg.resume = resume;
   cfg.faults = std::move(faults);

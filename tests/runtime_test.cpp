@@ -7,10 +7,13 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "apps/bioinformatics.hpp"
 #include "apps/forensics.hpp"
 #include "apps/microscopy.hpp"
+#include "cache/sharded_slot_cache.hpp"
 #include "read_overlap_store.hpp"
 #include "runtime/node_runtime.hpp"
 
@@ -150,10 +153,12 @@ TEST(NodeRuntime, ShardedCacheMatchesSingleLockPolicy) {
   base.devices = {gpu::titanx_maxwell()};
   base.host_cache_capacity = 16_MiB;
   base.cpu_threads = 4;
-  // 12 device slots at 2 jobs in flight shard the device cache 3 ways
-  // (the deadlock-freedom clamp allows slots / (2*jobs) shards); in-flight
-  // jobs overlap on shared items, which is what drives the fast path.
+  // One-pair leaves keep two-item tiles, so 12 device slots at 2 jobs in
+  // flight shard the device cache 3 ways (admit_tiles leaves
+  // slots / (2*jobs) shards); in-flight jobs overlap on shared items,
+  // which is what drives the fast path.
   base.job_limit_per_worker = 2;
+  base.max_leaf_pairs = 1;
 
   NodeRuntime::Config single_cfg = base;
   single_cfg.cache_shards = 1;
@@ -271,6 +276,155 @@ TEST(NodeRuntime, PrefetchCorrectUnderEvictionPressure) {
     ASSERT_EQ(report.device_busy_seconds.size(), 1u);
     EXPECT_GE(report.device_busy_seconds[0], 0.0);
   }
+}
+
+/// ⌊√p⌋ by counting up: the table's leaf budgets are tiny.
+std::uint32_t square_side(std::uint64_t pairs) {
+  std::uint32_t side = 0;
+  while (std::uint64_t{side + 1} * (side + 1) <= pairs) ++side;
+  return side;
+}
+
+TEST(TileAdmission, InvariantsHoldOverTheTable) {
+  for (const std::uint32_t slots : {2u, 3u, 4u, 5u, 7u, 12u, 16u, 20u, 64u,
+                                    1024u}) {
+    for (const std::uint32_t limit : {1u, 2u, 8u}) {
+      for (const std::uint32_t shards : {1u, 4u, 16u}) {
+        for (const std::uint64_t leaf : {1ull, 16ull, 64ull}) {
+          SCOPED_TRACE("slots=" + std::to_string(slots) +
+                       " limit=" + std::to_string(limit) +
+                       " shards=" + std::to_string(shards) +
+                       " leaf=" + std::to_string(leaf));
+          const TileAdmission a = admit_tiles(slots, limit, shards, leaf);
+          EXPECT_GE(a.tiles_in_flight, 1u);
+          EXPECT_LE(a.tiles_in_flight, limit);
+          EXPECT_GE(a.shards, 1u);
+          EXPECT_LE(a.shards, shards);
+          // The cache the runtime builds with this shard count: every
+          // in-flight tile's whole working set fits its smallest shard,
+          // and a one-pair tile (two items) always fits the budget.
+          cache::ShardedSlotCache cache(
+              {slots, 64, "device", a.shards, slots});
+          EXPECT_EQ(cache.num_shards(), a.shards);
+          EXPECT_LE(a.tiles_in_flight * a.tile_ws_budget,
+                    cache.min_shard_slots());
+          EXPECT_GE(a.tile_ws_budget, 2u);
+          if (limit >= 2 && slots >= 4) {
+            EXPECT_GE(a.tiles_in_flight, 2u);
+          }
+          EXPECT_GE(a.tile_ws_budget,
+                    std::min(2 * square_side(leaf), slots / 2));
+        }
+      }
+    }
+  }
+}
+
+TEST(TileAdmission, KnownRows) {
+  const auto expect_row = [](std::uint32_t slots, std::uint32_t limit,
+                             std::uint32_t shards, std::uint64_t leaf,
+                             TileAdmission want) {
+    SCOPED_TRACE("slots=" + std::to_string(slots));
+    const TileAdmission a = admit_tiles(slots, limit, shards, leaf);
+    EXPECT_EQ(a.tiles_in_flight, want.tiles_in_flight);
+    EXPECT_EQ(a.tile_ws_budget, want.tile_ws_budget);
+    EXPECT_EQ(a.shards, want.shards);
+  };
+  // forensics-1node and forensics-mesh: two 4x4 tiles, one shard.
+  expect_row(16, 8, 4, 64, {2, 8, 1});
+  // dense-mesh: an ample cache keeps 8 tiles and 4 shards.
+  expect_row(1024, 8, 4, 64, {8, 32, 4});
+  // bench_micro's prefetch "on" row: 8 tiles of 8 items.
+  expect_row(64, 8, 1, 16, {8, 8, 1});
+}
+
+TEST(NodeRuntime, ZeroJobLimitIsRejected) {
+  storage::MemoryStore store;
+  apps::ForensicsConfig cfg;
+  cfg.cameras = 2;
+  cfg.images_per_camera = 3;
+  cfg.width = 48;
+  cfg.height = 40;
+  apps::ForensicsDataset dataset(cfg, store);
+  apps::ForensicsApplication app(dataset);
+
+  NodeRuntime::Config rt;
+  rt.job_limit_per_worker = 0;
+  NodeRuntime runtime(rt);
+  try {
+    collect(runtime, app, store, nullptr);
+    FAIL() << "a zero job limit must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("job_limit_per_worker"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(NodeRuntime, ZeroLeafPairsIsRejected) {
+  storage::MemoryStore store;
+  apps::ForensicsConfig cfg;
+  cfg.cameras = 2;
+  cfg.images_per_camera = 3;
+  cfg.width = 48;
+  cfg.height = 40;
+  apps::ForensicsDataset dataset(cfg, store);
+  apps::ForensicsApplication app(dataset);
+
+  NodeRuntime::Config rt;
+  rt.max_leaf_pairs = 0;
+  NodeRuntime runtime(rt);
+  const auto names_field = [](const std::invalid_argument& e) {
+    return std::string(e.what()).find("max_leaf_pairs") != std::string::npos;
+  };
+  try {
+    collect(runtime, app, store, nullptr);
+    FAIL() << "a zero leaf budget must be rejected by the runtime";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_TRUE(names_field(e)) << e.what();
+  }
+  steal::StealExecutor::Config exec;
+  exec.max_leaf_pairs = 0;
+  try {
+    steal::StealExecutor executor(exec);
+    FAIL() << "a zero leaf budget must be rejected by the executor";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_TRUE(names_field(e)) << e.what();
+  }
+}
+
+TEST(NodeRuntime, LeafSizedTilesOnTheBenchmarkShape) {
+  // forensics-1node's shape with smaller images: 128 items, a 16-slot
+  // device cache (n/8), a 32-slot host cache (n/4), 64-pair leaves. The
+  // tile size is chosen before the shards, so 8 requested shards leave
+  // two 8-item tiles on one shard, and each 4x4 tile runs 16 pairs.
+  storage::MemoryStore store;
+  apps::ForensicsConfig cfg;
+  cfg.cameras = 16;
+  cfg.images_per_camera = 8;
+  cfg.width = 48;
+  cfg.height = 40;
+  cfg.seed = 37;
+  apps::ForensicsDataset dataset(cfg, store);
+  apps::ForensicsApplication app(dataset);
+  const ResultMap expected = brute_force(app, store);
+
+  NodeRuntime::Config rt;
+  rt.devices = {gpu::titanx_maxwell()};
+  rt.cpu_threads = 1;
+  rt.cache_shards = 8;
+  rt.device_cache_capacity = 16 * app.slot_size();
+  rt.host_cache_capacity = 32 * app.slot_size();
+  NodeRuntime runtime(rt);
+  NodeRuntime::Report report;
+  const ResultMap actual = collect(runtime, app, store, &report);
+  EXPECT_EQ(actual, expected);
+  ASSERT_EQ(report.admission.size(), 1u);
+  EXPECT_EQ(report.admission[0].tiles_in_flight, 2u);
+  EXPECT_EQ(report.admission[0].tile_ws_budget, 8u);
+  EXPECT_EQ(report.admission[0].shards, 1u);
+  EXPECT_EQ(report.io_lanes, 2u);
+  EXPECT_LE(report.tiles, expected.size() / 8);
 }
 
 /// Degenerate application: no items at all (or one item, zero pairs) —
