@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 #include "common/log.hpp"
 
@@ -39,11 +40,30 @@ std::vector<float> camera_fingerprint(std::uint32_t width,
 }
 
 /// Header prepended to the parsed pixel plane so the device-side stages
-/// know the geometry without re-parsing the container.
+/// know the geometry without re-parsing the container. Parse writes `norm2`
+/// as 0; preprocess sets it to the residual's squared norm, summed in index
+/// order, so compare need not recompute it.
 struct ParsedHeader {
   std::uint32_t width;
   std::uint32_t height;
+  double norm2;
 };
+static_assert(sizeof(ParsedHeader) == 16, "slot layout is {u32, u32, f64}");
+
+/// Reads a slot's header and checks that the buffer holds its whole plane.
+ParsedHeader read_header(const gpu::DeviceBuffer& data) {
+  ParsedHeader header{};
+  if (data.size() < sizeof(header)) {
+    throw std::runtime_error("forensics: slot shorter than its header");
+  }
+  std::memcpy(&header, data.data(), sizeof(header));
+  const std::uint64_t floats =
+      static_cast<std::uint64_t>(header.width) * header.height;
+  if ((data.size() - sizeof(header)) / sizeof(float) < floats) {
+    throw std::runtime_error("forensics: slot shorter than its plane");
+  }
+  return header;
+}
 
 }  // namespace
 
@@ -81,7 +101,7 @@ std::string ForensicsDataset::file_name(runtime::ItemId item) const {
 void ForensicsApplication::parse(runtime::ItemId, const ByteBuffer& file,
                                  runtime::HostBuffer& out) const {
   const Image image = decode_image(file);
-  const ParsedHeader header{image.width, image.height};
+  const ParsedHeader header{image.width, image.height, 0.0};
   out.resize(sizeof(header) + image.size() * sizeof(float));
   std::memcpy(out.data(), &header, sizeof(header));
   std::memcpy(out.data() + sizeof(header), image.pixels.data(),
@@ -90,13 +110,14 @@ void ForensicsApplication::parse(runtime::ItemId, const ByteBuffer& file,
 
 void ForensicsApplication::preprocess(runtime::ItemId,
                                       gpu::DeviceBuffer& data) const {
-  ParsedHeader header{};
-  ROCKET_CHECK(data.size() >= sizeof(header), "corrupt parsed image");
-  std::memcpy(&header, data.data(), sizeof(header));
+  ParsedHeader header = read_header(data);
   Image image = make_image(header.width, header.height);
   std::memcpy(image.pixels.data(), data.data() + sizeof(header),
               image.size() * sizeof(float));
   const std::vector<float> residual = noise_residual(image);
+  header.norm2 = 0.0;
+  for (const float r : residual) header.norm2 += static_cast<double>(r) * r;
+  std::memcpy(data.data(), &header, sizeof(header));
   std::memcpy(data.data() + sizeof(header), residual.data(),
               residual.size() * sizeof(float));
 }
@@ -105,16 +126,27 @@ double ForensicsApplication::compare(runtime::ItemId,
                                      const gpu::DeviceBuffer& left_data,
                                      runtime::ItemId,
                                      const gpu::DeviceBuffer& right_data) const {
-  ParsedHeader header{};
-  std::memcpy(&header, left_data.data(), sizeof(header));
-  const std::size_t count =
-      static_cast<std::size_t>(header.width) * header.height;
-  std::vector<float> left(count), right(count);
-  std::memcpy(left.data(), left_data.data() + sizeof(header),
-              count * sizeof(float));
-  std::memcpy(right.data(), right_data.data() + sizeof(header),
-              count * sizeof(float));
-  return normalized_cross_correlation(left, right);
+  // The normalised cross-correlation of the two residuals, read in place:
+  // one dot product in index order over 4-byte loads from both slots, and
+  // the norms preprocess stored. Scores equal normalized_cross_correlation's
+  // bit for bit.
+  const ParsedHeader a = read_header(left_data);
+  const ParsedHeader b = read_header(right_data);
+  if (a.width != b.width || a.height != b.height) {
+    throw std::runtime_error("forensics: residuals differ in size");
+  }
+  const std::size_t count = static_cast<std::size_t>(a.width) * a.height;
+  const std::uint8_t* left = left_data.data() + sizeof(ParsedHeader);
+  const std::uint8_t* right = right_data.data() + sizeof(ParsedHeader);
+  double dot = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    float x = 0.0f, y = 0.0f;
+    std::memcpy(&x, left + i * sizeof(float), sizeof(float));
+    std::memcpy(&y, right + i * sizeof(float), sizeof(float));
+    dot += static_cast<double>(x) * y;
+  }
+  const double denom = std::sqrt(a.norm2 * b.norm2);
+  return denom > 0.0 ? dot / denom : 0.0;
 }
 
 Bytes ForensicsApplication::slot_size() const {

@@ -71,10 +71,13 @@ class ForensicsApplication final : public runtime::Application {
   void parse(runtime::ItemId item, const ByteBuffer& file,
              runtime::HostBuffer& out) const override;
 
-  /// GPU: extract the normalised PRNU noise residual in place.
+  /// GPU: extract the normalised PRNU noise residual in place and store its
+  /// squared norm in the slot's header.
   void preprocess(runtime::ItemId item, gpu::DeviceBuffer& data) const override;
 
-  /// GPU: normalised cross-correlation of two residuals.
+  /// GPU: normalised cross-correlation of two residuals, read in place from
+  /// both slots. Throws std::runtime_error when the two differ in size or a
+  /// slot is shorter than its header says.
   double compare(runtime::ItemId left, const gpu::DeviceBuffer& left_data,
                  runtime::ItemId right,
                  const gpu::DeviceBuffer& right_data) const override;

@@ -130,6 +130,7 @@ std::int64_t get_varint_signed(const std::uint8_t*& p, const std::uint8_t* end) 
       return static_cast<std::int64_t>(u >> 1) ^ -static_cast<std::int64_t>(u & 1);
     }
     shift += 7;
+    if (shift > 63) throw std::runtime_error("decode_image: overlong varint");
   }
   throw std::runtime_error("decode_image: truncated varint");
 }
@@ -185,6 +186,12 @@ Image decode_image(const ByteBuffer& bytes) {
       width > 1 << 16 || height > 1 << 16) {
     throw std::runtime_error("decode_image: bad dimensions");
   }
+  // Every 8x8 block carries 64 varints of at least one byte each, so a body
+  // with fewer bytes than pixels cannot be an image of this size: reject it
+  // before the pixel plane is allocated.
+  if (static_cast<std::uint64_t>(width) * height > body.size() - 16) {
+    throw std::runtime_error("decode_image: body too short for its dimensions");
+  }
 
   Image img = make_image(width, height);
   double coeffs[kBlock][kBlock];
@@ -207,35 +214,39 @@ Image decode_image(const ByteBuffer& bytes) {
 }
 
 Image box_blur(const Image& image, int radius) {
-  // Separable two-pass blur with edge clamping; O(pixels · radius).
+  // Separable two-pass blur with edge clamping; O(pixels · radius). Each
+  // output row starts at 0 and accumulates tap by tap across x, so every
+  // pixel adds its taps in the order -radius..radius while the loops over x
+  // vectorise. Only the horizontal pass's edge columns, at most `radius` on
+  // each side, need the clamp.
   const int w = static_cast<int>(image.width);
   const int h = static_cast<int>(image.height);
-  Image horizontal = make_image(image.width, image.height);
+  const auto row = [w](auto& img, int y) {
+    return img.pixels.data() + static_cast<std::size_t>(y) * w;
+  };
   const float inv = 1.0f / static_cast<float>(2 * radius + 1);
+  // Columns [lo, hi) read every tap from inside the row.
+  const int lo = std::min(radius, w);
+  const int hi = std::max(lo, w - radius);
+  Image horizontal = make_image(image.width, image.height);
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      float acc = 0;
-      for (int dx = -radius; dx <= radius; ++dx) {
-        const int cx = std::clamp(x + dx, 0, w - 1);
-        acc += image.at(static_cast<std::uint32_t>(cx),
-                        static_cast<std::uint32_t>(y));
-      }
-      horizontal.at(static_cast<std::uint32_t>(x),
-                    static_cast<std::uint32_t>(y)) = acc * inv;
+    const float* in = row(image, y);
+    float* acc = row(horizontal, y);
+    for (int dx = -radius; dx <= radius; ++dx) {
+      for (int x = 0; x < lo; ++x) acc[x] += in[std::clamp(x + dx, 0, w - 1)];
+      for (int x = lo; x < hi; ++x) acc[x] += in[x + dx];
+      for (int x = hi; x < w; ++x) acc[x] += in[std::clamp(x + dx, 0, w - 1)];
     }
+    for (int x = 0; x < w; ++x) acc[x] *= inv;
   }
   Image out = make_image(image.width, image.height);
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      float acc = 0;
-      for (int dy = -radius; dy <= radius; ++dy) {
-        const int cy = std::clamp(y + dy, 0, h - 1);
-        acc += horizontal.at(static_cast<std::uint32_t>(x),
-                             static_cast<std::uint32_t>(cy));
-      }
-      out.at(static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y)) =
-          acc * inv;
+    float* acc = row(out, y);
+    for (int dy = -radius; dy <= radius; ++dy) {
+      const float* in = row(horizontal, std::clamp(y + dy, 0, h - 1));
+      for (int x = 0; x < w; ++x) acc[x] += in[x];
     }
+    for (int x = 0; x < w; ++x) acc[x] *= inv;
   }
   return out;
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "apps/bioinformatics.hpp"
 #include "apps/forensics.hpp"
@@ -54,6 +57,98 @@ TEST(ImageCodec, RejectsCorruptData) {
   EXPECT_THROW(decode_image(ByteBuffer{1, 2, 3}), std::runtime_error);
 }
 
+/// A codec file whose body is the 16-byte header of a `width` x `height`
+/// image followed by the raw coefficient varints `coeffs`.
+ByteBuffer codec_file(std::uint32_t width, std::uint32_t height,
+                      const ByteBuffer& coeffs) {
+  ByteBuffer body = lz_decompress(encode_image(make_image(8, 8)));
+  body.resize(16);
+  for (int i = 0; i < 4; ++i) {
+    body[4 + i] = static_cast<std::uint8_t>(width >> (8 * i));
+    body[8 + i] = static_cast<std::uint8_t>(height >> (8 * i));
+  }
+  body.insert(body.end(), coeffs.begin(), coeffs.end());
+  return lz_compress(body);
+}
+
+TEST(ImageCodec, RejectsAnOverlongVarint) {
+  ByteBuffer coeffs(64, 0);
+  EXPECT_EQ(decode_image(codec_file(8, 8, coeffs)).size(), 64u);
+  // The first coefficient runs on for 12 continuation bytes: its shift
+  // would pass 63 bits.
+  coeffs.assign(12, 0xFF);
+  coeffs.push_back(0x01);
+  coeffs.resize(13 + 63, 0);
+  EXPECT_THROW(decode_image(codec_file(8, 8, coeffs)), std::runtime_error);
+}
+
+TEST(ImageCodec, RejectsDimensionsItsBodyCannotFill) {
+  // A few dozen bytes claiming 4096x4096 must fail before the 64 MiB pixel
+  // plane is allocated, not when the coefficients run out.
+  const ByteBuffer file = codec_file(4096, 4096, ByteBuffer(32, 0));
+  EXPECT_LT(file.size(), 100u);
+  try {
+    decode_image(file);
+    ADD_FAILURE() << "decoded a 4096x4096 image from " << file.size()
+                  << " bytes";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("too short"), std::string::npos)
+        << e.what();
+  }
+  // Every pixel needs at least one byte.
+  EXPECT_THROW(decode_image(codec_file(8, 8, ByteBuffer(63, 0))),
+               std::runtime_error);
+}
+
+/// box_blur as a per-pixel loop that clamps every tap: the reference the
+/// row-wise box_blur must match bit for bit.
+Image clamped_box_blur(const Image& image, int radius) {
+  const int w = static_cast<int>(image.width);
+  const int h = static_cast<int>(image.height);
+  Image horizontal = make_image(image.width, image.height);
+  const float inv = 1.0f / static_cast<float>(2 * radius + 1);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      float acc = 0;
+      for (int dx = -radius; dx <= radius; ++dx) {
+        const int cx = std::clamp(x + dx, 0, w - 1);
+        acc += image.at(static_cast<std::uint32_t>(cx),
+                        static_cast<std::uint32_t>(y));
+      }
+      horizontal.at(static_cast<std::uint32_t>(x),
+                    static_cast<std::uint32_t>(y)) = acc * inv;
+    }
+  }
+  Image out = make_image(image.width, image.height);
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      float acc = 0;
+      for (int dy = -radius; dy <= radius; ++dy) {
+        const int cy = std::clamp(y + dy, 0, h - 1);
+        acc += horizontal.at(static_cast<std::uint32_t>(x),
+                             static_cast<std::uint32_t>(cy));
+      }
+      out.at(static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y)) =
+          acc * inv;
+    }
+  }
+  return out;
+}
+
+TEST(ImageOps, BoxBlurMatchesTheClampedReference) {
+  // Radius 9 on an 8-wide image sends every tap through the clamp.
+  const std::pair<std::uint32_t, std::uint32_t> sizes[] = {
+      {8, 8}, {16, 8}, {96, 64}, {128, 96}};
+  for (const auto& [w, h] : sizes) {
+    const Image img = noisy_gradient(w, h, 131 * w + h);
+    for (const int radius : {1, 2, 3, 9}) {
+      EXPECT_EQ(box_blur(img, radius).pixels,
+                clamped_box_blur(img, radius).pixels)
+          << w << "x" << h << " at radius " << radius;
+    }
+  }
+}
+
 TEST(ImageOps, BoxBlurPreservesConstantImages) {
   const Image constant = make_image(32, 32, 77.0f);
   const Image blurred = box_blur(constant, 3);
@@ -84,6 +179,20 @@ TEST(ImageOps, NccBoundsAndIdentity) {
 
 // --- forensics end-to-end discrimination ---
 
+/// Parses `file` into a device slot as the runtime's H2D stage does (a
+/// whole slot, or more for a larger item), then preprocesses it.
+gpu::DeviceBuffer load_slot(const ForensicsApplication& app,
+                            gpu::VirtualDevice& device, runtime::ItemId item,
+                            const ByteBuffer& file) {
+  runtime::HostBuffer parsed;
+  app.parse(item, file, parsed);
+  auto buffer = device.allocate(
+      std::max<std::size_t>(parsed.size(), app.slot_size()));
+  std::copy(parsed.begin(), parsed.end(), buffer.data());
+  app.preprocess(item, buffer);
+  return buffer;
+}
+
 TEST(Forensics, SameCameraPairsCorrelateHigher) {
   storage::MemoryStore store;
   ForensicsConfig cfg;
@@ -97,19 +206,10 @@ TEST(Forensics, SameCameraPairsCorrelateHigher) {
 
   // Drive the pipeline manually: parse → preprocess → compare.
   gpu::VirtualDevice device(0, gpu::titanx_maxwell());
-  auto load = [&](runtime::ItemId item) {
-    runtime::HostBuffer parsed;
-    app.parse(item, store.read(app.file_name(item)), parsed);
-    auto buffer = device.allocate(app.slot_size());
-    std::copy(parsed.begin(), parsed.end(), buffer.data());
-    app.preprocess(item, buffer);
-    return buffer;
-  };
-
   OnlineStats same, cross;
   std::vector<gpu::DeviceBuffer> items;
   for (runtime::ItemId i = 0; i < dataset.item_count(); ++i) {
-    items.push_back(load(i));
+    items.push_back(load_slot(app, device, i, store.read(app.file_name(i))));
   }
   for (runtime::ItemId i = 0; i < dataset.item_count(); ++i) {
     for (runtime::ItemId j = i + 1; j < dataset.item_count(); ++j) {
@@ -124,6 +224,82 @@ TEST(Forensics, SameCameraPairsCorrelateHigher) {
   EXPECT_GT(same.mean(), cross.mean() + 3 * cross.stddev())
       << "PRNU must separate same-camera pairs (same mean=" << same.mean()
       << " cross mean=" << cross.mean() << ")";
+}
+
+TEST(Forensics, InPlaceKernelsMatchTheReference) {
+  // The benchmark's geometry. A slot is {u32 width, u32 height, f64 norm2}
+  // followed by the residual plane.
+  storage::MemoryStore store;
+  ForensicsConfig cfg;
+  cfg.cameras = 2;
+  cfg.images_per_camera = 3;
+  cfg.width = 128;
+  cfg.height = 96;
+  cfg.seed = 5;
+  ForensicsDataset dataset(cfg, store);
+  ForensicsApplication app(dataset);
+  gpu::VirtualDevice device(0, gpu::titanx_maxwell());
+
+  std::vector<gpu::DeviceBuffer> slots;
+  std::vector<std::vector<float>> residuals;
+  for (runtime::ItemId i = 0; i < dataset.item_count(); ++i) {
+    const ByteBuffer file = store.read(app.file_name(i));
+    const auto& r = residuals.emplace_back(noise_residual(decode_image(file)));
+    const auto& slot = slots.emplace_back(load_slot(app, device, i, file));
+    ASSERT_EQ(slot.size(), app.slot_size());
+    ASSERT_EQ(r.size(), std::size_t{cfg.width} * cfg.height);
+    std::uint32_t dims[2] = {};
+    double norm2 = 0.0;
+    std::memcpy(dims, slot.data(), sizeof(dims));
+    std::memcpy(&norm2, slot.data() + 8, sizeof(norm2));
+    EXPECT_EQ(dims[0], cfg.width);
+    EXPECT_EQ(dims[1], cfg.height);
+    EXPECT_EQ(std::memcmp(slot.data() + 16, r.data(), r.size() * sizeof(float)),
+              0)
+        << "item " << i;
+    double expected = 0.0;
+    for (const float v : r) expected += static_cast<double>(v) * v;
+    EXPECT_EQ(norm2, expected) << "item " << i;
+  }
+  for (runtime::ItemId i = 0; i < dataset.item_count(); ++i) {
+    for (runtime::ItemId j = i; j < dataset.item_count(); ++j) {
+      EXPECT_EQ(app.compare(i, slots[i], j, slots[j]),
+                normalized_cross_correlation(residuals[i], residuals[j]))
+          << "pair (" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(Forensics, SlotsThatDisagreeWithTheirHeadersThrow) {
+  storage::MemoryStore store;
+  ForensicsConfig cfg;
+  cfg.cameras = 1;
+  cfg.images_per_camera = 2;
+  cfg.width = 8;
+  cfg.height = 8;
+  ForensicsDataset dataset(cfg, store);
+  ForensicsApplication app(dataset);
+  gpu::VirtualDevice device(0, gpu::titanx_maxwell());
+
+  // One 16x16 file beside the 8x8 items: its residual is four times the
+  // size of the other's, in either operand position.
+  const auto small = load_slot(app, device, 0, store.read(app.file_name(0)));
+  const auto large = load_slot(app, device, 1,
+                               encode_image(noisy_gradient(16, 16, 9)));
+  EXPECT_NO_THROW(app.compare(0, small, 0, small));
+  EXPECT_THROW(app.compare(1, large, 0, small), std::runtime_error);
+  EXPECT_THROW(app.compare(0, small, 1, large), std::runtime_error);
+
+  // A slot shorter than its header plus its plane.
+  runtime::HostBuffer parsed;
+  app.parse(0, store.read(app.file_name(0)), parsed);
+  for (const std::size_t size : {parsed.size() - 1, std::size_t{8}}) {
+    auto truncated = device.allocate(size);
+    std::copy(parsed.begin(), parsed.begin() + size, truncated.data());
+    EXPECT_THROW(app.preprocess(0, truncated), std::runtime_error);
+    EXPECT_THROW(app.compare(0, small, 0, truncated), std::runtime_error);
+    EXPECT_THROW(app.compare(0, truncated, 0, small), std::runtime_error);
+  }
 }
 
 // --- JSON ---
