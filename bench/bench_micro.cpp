@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "apps/forensics.hpp"
@@ -534,7 +535,6 @@ runtime::NodeRuntime::Config load_bound_config() {
   cfg.cache_shards = 1;
   cfg.job_limit_per_worker = 1;
   cfg.max_leaf_pairs = 16;
-  cfg.leaf_order = dnc::Traversal::kHilbert;
   return cfg;
 }
 
@@ -688,32 +688,57 @@ OverheadResult measure_tracing_overhead() {
   });
 }
 
-struct TraversalResult {
-  std::uint64_t depth_first_loads = 0;
-  std::uint64_t hilbert_loads = 0;
-  std::uint64_t row_major_loads = 0;
+struct ScheduleLocality {
+  std::uint64_t schedule_fills = 0;
+  std::uint64_t row_major_fills = 0;
+  std::uint64_t runtime_loads = 0;
 };
 
-/// Load-pipeline executions per leaf traversal order on the same
-/// cache-starved workload (no store throttle — only the load count
-/// matters, and a serial schedule keeps it deterministic). Row-major
-/// re-walks the full column span every tile row; the curve orders keep
-/// consecutive tiles on shared rows/columns, so the small cache absorbs
-/// most transitions.
-TraversalResult measure_traversal_loads() {
-  const auto loads_for = [](dnc::Traversal order) {
-    storage::MemoryStore store;
-    SyntheticApp app(kPrefetchItems, store);
-    auto cfg = load_bound_config();
-    cfg.cpu_threads = 1;
-    cfg.leaf_order = order;
-    runtime::NodeRuntime rt(cfg);
-    return rt.run(app, store, [](const runtime::PairResult&) {}).loads;
-  };
-  TraversalResult out;
-  out.depth_first_loads = loads_for(dnc::Traversal::kDepthFirst);
-  out.hilbert_loads = loads_for(dnc::Traversal::kHilbert);
-  out.row_major_loads = loads_for(dnc::Traversal::kRowMajor);
+/// Fills a serial replay of `leaves` costs the load-bound configuration's
+/// 64-slot device cache: each leaf pins its whole working set in one
+/// batch, fills what is missing and releases it before the next leaf (one
+/// tile in flight).
+std::uint64_t replay_fills(const std::vector<dnc::Region>& leaves) {
+  cache::SlotCache cache(
+      {64, SyntheticApp::kItemBytes, "traversal-replay"});
+  for (const dnc::Region& leaf : leaves) {
+    const auto grants = cache.acquire_batch(dnc::working_set_items(leaf), {});
+    for (const auto& grant : grants) {
+      if (grant.outcome == cache::SlotCache::Outcome::kFill) {
+        cache.publish(grant.slot);
+      }
+    }
+    for (const auto& grant : grants) cache.release(grant.slot);
+  }
+  return cache.stats().fills;
+}
+
+/// The schedule's locality on the cache-starved workload: the fills of the
+/// descent's leaf sequence (dnc::leaves of the 128-item root, 16-pair
+/// leaves) against the same leaves sorted row-major, which re-walks the
+/// full column span every tile row, plus the loads the runtime measures
+/// running the schedule (no store throttle — only the load count matters,
+/// and a serial schedule keeps it deterministic).
+ScheduleLocality measure_schedule_locality() {
+  const auto config = load_bound_config();
+  auto leaves = dnc::leaves({dnc::root_region(kPrefetchItems)},
+                            config.max_leaf_pairs);
+  ScheduleLocality out;
+  out.schedule_fills = replay_fills(leaves);
+  std::sort(leaves.begin(), leaves.end(),
+            [](const dnc::Region& a, const dnc::Region& b) {
+              return std::tie(a.row_begin, a.col_begin) <
+                     std::tie(b.row_begin, b.col_begin);
+            });
+  out.row_major_fills = replay_fills(leaves);
+
+  storage::MemoryStore store;
+  SyntheticApp app(kPrefetchItems, store);
+  auto cfg = config;
+  cfg.cpu_threads = 1;
+  runtime::NodeRuntime rt(cfg);
+  out.runtime_loads =
+      rt.run(app, store, [](const runtime::PairResult&) {}).loads;
   return out;
 }
 
@@ -729,7 +754,7 @@ void run_measurements_and_emit_json() {
   const std::vector<ContentionResult> contention = {
       measure_cache_contention(2), measure_cache_contention(8)};
   const PrefetchResult prefetch = measure_prefetch_overlap();
-  const TraversalResult traversal = measure_traversal_loads();
+  const ScheduleLocality traversal = measure_schedule_locality();
   const OverheadResult telemetry = measure_telemetry_overhead();
   const OverheadResult tracing = measure_tracing_overhead();
 
@@ -762,10 +787,10 @@ void run_measurements_and_emit_json() {
       prefetch.on.pairs_per_sec, prefetch.on.stall_seconds,
       prefetch.on.prefetch_hits, prefetch.speedup);
   std::printf(
-      "traversal loads (64-slot cache, %u items): hilbert %" PRIu64
-      ", depth-first %" PRIu64 ", row-major %" PRIu64 "\n",
-      kPrefetchItems, traversal.hilbert_loads, traversal.depth_first_loads,
-      traversal.row_major_loads);
+      "traversal (64-slot cache, %u items): schedule %" PRIu64
+      " fills (runtime %" PRIu64 " loads), row-major %" PRIu64 " fills\n",
+      kPrefetchItems, traversal.schedule_fills, traversal.runtime_loads,
+      traversal.row_major_fills);
   std::printf(
       "telemetry overhead: on %.0f pairs/s vs off %.0f pairs/s "
       "(ratio %.3f; gate >= 0.98)\n",
@@ -819,11 +844,11 @@ void run_measurements_and_emit_json() {
       prefetch.on.stall_seconds, prefetch.on.prefetch_hits,
       prefetch.on.loads, prefetch.speedup);
   std::fprintf(f,
-               "  \"traversal\": {\"hilbert_loads\": %" PRIu64
-               ", \"depth_first_loads\": %" PRIu64
-               ", \"row_major_loads\": %" PRIu64 "},\n",
-               traversal.hilbert_loads, traversal.depth_first_loads,
-               traversal.row_major_loads);
+               "  \"traversal\": {\"schedule_fills\": %" PRIu64
+               ", \"row_major_fills\": %" PRIu64
+               ", \"runtime_loads\": %" PRIu64 "},\n",
+               traversal.schedule_fills, traversal.row_major_fills,
+               traversal.runtime_loads);
   std::fprintf(f,
                "  \"telemetry\": {\"on_pairs_per_sec\": %.1f, "
                "\"off_pairs_per_sec\": %.1f, \"ratio\": %.4f},\n",

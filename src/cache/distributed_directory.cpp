@@ -15,10 +15,6 @@ std::vector<NodeId> DistributedDirectory::on_request(ItemId item,
     if (node != requester) chain.push_back(node);
   }
   if (chain.empty()) ++stats_.empty_responses;
-  if (max_chain_hops_ > 0 && chain.size() > max_chain_hops_) {
-    chain.resize(max_chain_hops_);
-    ++stats_.chain_aborts;
-  }
 
   // Record the requester as the freshest candidate: it is about to obtain
   // the item (from a peer or by loading) and will hold it for a while.

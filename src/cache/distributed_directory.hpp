@@ -31,7 +31,6 @@ struct DirectoryStats {
   std::uint64_t chain_hits = 0;       // chain walks that found the item on a peer
   std::uint64_t chain_misses = 0;     // exhausted chains (fell back to a load)
   std::uint64_t hops = 0;             // candidate hops walked across all chains
-  std::uint64_t chain_aborts = 0;     // chains truncated at the walk cap
 };
 
 /// Aggregate per-node directory stats into cluster totals.
@@ -41,21 +40,15 @@ inline DirectoryStats& operator+=(DirectoryStats& a, const DirectoryStats& b) {
   a.chain_hits += b.chain_hits;
   a.chain_misses += b.chain_misses;
   a.hops += b.hops;
-  a.chain_aborts += b.chain_aborts;
   return a;
 }
 
 class DistributedDirectory {
  public:
   /// `max_candidates` is the paper's h: the chain length handed out and the
-  /// retention bound of the per-item list. `max_chain_hops` additionally
-  /// caps the chain actually *handed out* (0 = no extra cap): under node
-  /// churn the retained list can be stale, and every stale hop is a wasted
-  /// round trip before the requester falls back to storage — a truncated
-  /// hand-out is counted in `chain_aborts`.
-  explicit DistributedDirectory(std::uint32_t max_candidates,
-                                std::uint32_t max_chain_hops = 0)
-      : max_candidates_(max_candidates), max_chain_hops_(max_chain_hops) {}
+  /// retention bound of the per-item list.
+  explicit DistributedDirectory(std::uint32_t max_candidates)
+      : max_candidates_(max_candidates) {}
 
   /// Mediator-side handling of a request for `item` from `requester`:
   /// returns the candidate chain (possibly empty) and records the requester
@@ -84,7 +77,6 @@ class DistributedDirectory {
   }
 
   std::uint32_t max_candidates() const { return max_candidates_; }
-  std::uint32_t max_chain_hops() const { return max_chain_hops_; }
   const DirectoryStats& stats() const { return stats_; }
 
   /// Forget `node` everywhere: a dead node must never be handed out as a
@@ -96,7 +88,6 @@ class DistributedDirectory {
 
  private:
   std::uint32_t max_candidates_;
-  std::uint32_t max_chain_hops_;
   std::unordered_map<ItemId, std::deque<NodeId>> candidates_;
   DirectoryStats stats_;
 };

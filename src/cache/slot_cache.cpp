@@ -7,20 +7,6 @@
 
 namespace rocket::cache {
 
-void SlotCache::trace(const char* op, ItemId item, SlotId slot) {
-  if (trace_item_ == kNoItem) return;
-  if (item != trace_item_ &&
-      (slot == kInvalidSlot || slots_[slot].item != trace_item_)) {
-    return;
-  }
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "%s item=%d slot=%d readers=%u", op,
-                item == kNoItem ? -1 : static_cast<int>(item),
-                slot == kInvalidSlot ? -1 : static_cast<int>(slot),
-                slot == kInvalidSlot ? 0 : slots_[slot].readers);
-  trace_log_.emplace_back(buf);
-}
-
 SlotCache::SlotCache(Config config) : config_(std::move(config)) {
   slots_.resize(config_.num_slots);
   for (SlotId id = 0; id < config_.num_slots; ++id) {
@@ -60,7 +46,6 @@ SlotId SlotCache::allocate_for(ItemId item) {
   unlink_lru(slot);
   if (slot.status == Status::kRead) {
     ROCKET_CHECK(slot.readers == 0, "evicting a pinned slot");
-    trace("evict", slot.item, victim);
     index_.erase(slot.item);
     ++stats_.evictions;
     --resident_;
@@ -82,7 +67,6 @@ SlotCache::Grant SlotCache::acquire(ItemId item, Callback cb) {
       if (slot.readers == 0) unlink_lru(slot);
       ++slot.readers;
       ++stats_.hits;
-      trace("acquire-hit", item, it->second);
       notify(it->second);
       return Grant{Outcome::kHit, it->second};
     }
@@ -90,17 +74,14 @@ SlotCache::Grant SlotCache::acquire(ItemId item, Callback cb) {
     ROCKET_CHECK(slot.status == Status::kWrite, "acquire: bad slot status");
     ++stats_.write_waits;
     slot.waiters.push_back(std::move(cb));
-    trace("acquire-write-wait", item, it->second);
     return Grant{Outcome::kQueued, kInvalidSlot};
   }
 
   const SlotId slot = allocate_for(item);
   if (slot != kInvalidSlot) {
-    trace("acquire-fill", item, slot);
     return Grant{Outcome::kFill, slot};
   }
   ++stats_.alloc_stalls;
-  trace("acquire-stall", item, kInvalidSlot);
   pending_.push_back(PendingAlloc{item, std::move(cb)});
   return Grant{Outcome::kQueued, kInvalidSlot};
 }
@@ -130,7 +111,6 @@ void SlotCache::publish(SlotId id) {
   ++resident_;
   // Writer keeps the first pin; every waiter gets one more.
   slot.readers = 1 + static_cast<std::uint32_t>(slot.waiters.size());
-  trace("publish", slot.item, id);
   notify(id);
   std::vector<Callback> waiters = std::move(slot.waiters);
   slot.waiters.clear();
@@ -162,7 +142,6 @@ void SlotCache::release(SlotId id) {
   Slot& slot = slots_[id];
   ROCKET_CHECK(slot.status == Status::kRead, "release: slot not in READ");
   ROCKET_CHECK(slot.readers > 0, "release: no pins held");
-  trace("release", slot.item, id);
   if (--slot.readers == 0) {
     notify(id);
     push_lru_back(id);  // most-recently-used end

@@ -175,11 +175,6 @@ class SlotCache {
   /// One-line-per-slot debug description (diagnostics only).
   std::string debug_dump() const;
 
-  /// Trace every operation touching `item` into an internal log
-  /// (diagnostics only; kNoItem disables).
-  void set_trace_item(ItemId item) { trace_item_ = item; }
-  const std::vector<std::string>& trace_log() const { return trace_log_; }
-
  private:
   struct Slot {
     ItemId item = kNoItem;
@@ -215,9 +210,6 @@ class SlotCache {
   std::uint32_t resident_ = 0;
   std::uint64_t probe_hits_ = 0;
   std::uint64_t probe_misses_ = 0;
-  ItemId trace_item_ = kNoItem;
-  std::vector<std::string> trace_log_;
-  void trace(const char* op, ItemId item, SlotId slot);
   SlotObserver observer_;
   void notify(SlotId slot) {
     if (observer_) observer_(slot);

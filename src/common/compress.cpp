@@ -1,5 +1,6 @@
 #include "common/compress.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <stdexcept>
@@ -125,18 +126,33 @@ ByteBuffer lz_decompress(const ByteBuffer& input) {
   std::uint64_t size = 0;
   for (int i = 0; i < 8; ++i) size |= static_cast<std::uint64_t>(input[static_cast<std::size_t>(i)]) << (8 * i);
 
-  ByteBuffer out;
-  out.reserve(size);
   const std::uint8_t* p = input.data() + 8;
   const std::uint8_t* end = input.data() + input.size();
+  // A match costs at least two input bytes and yields at most kMaxMatch, a
+  // literal yields less than it costs: the header cannot make us reserve
+  // more than the remaining input can expand to.
+  const auto remaining = static_cast<std::uint64_t>(end - p);
+  ByteBuffer out;
+  out.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(size, remaining / 2 * kMaxMatch)));
+  // Every token is checked against the claimed size before it writes.
+  const auto check_room = [&](std::uint64_t len) {
+    if (len > size - out.size()) {
+      throw std::runtime_error("lz_decompress: output exceeds claimed size");
+    }
+  };
   while (p < end) {
     const std::uint64_t tok = get_varint(p, end);
     if (tok & 1) {
+      if ((tok >> 1) > kMaxMatch - kMinMatch) {
+        throw std::runtime_error("lz_decompress: match too long");
+      }
       const std::size_t len = static_cast<std::size_t>(tok >> 1) + kMinMatch;
       const auto dist = static_cast<std::size_t>(get_varint(p, end));
       if (dist == 0 || dist > out.size()) {
         throw std::runtime_error("lz_decompress: bad distance");
       }
+      check_room(len);
       std::size_t from = out.size() - dist;
       for (std::size_t i = 0; i < len; ++i) out.push_back(out[from + i]);
     } else {
@@ -144,6 +160,7 @@ ByteBuffer lz_decompress(const ByteBuffer& input) {
       if (static_cast<std::size_t>(end - p) < len) {
         throw std::runtime_error("lz_decompress: truncated literals");
       }
+      check_room(len);
       out.insert(out.end(), p, p + len);
       p += len;
     }

@@ -49,7 +49,30 @@ std::vector<Region> split(const Region& r) {
   for (const auto& q : quadrants) {
     if (!is_empty(q)) out.push_back(q);
   }
+  std::sort(out.begin(), out.end(), [](const Region& a, const Region& b) {
+    return curve_rank(a) < curve_rank(b);
+  });
   return out;
+}
+
+std::uint64_t curve_rank(const Region& region) {
+  // The classic rotate-and-flip accumulation of the Hilbert d-index.
+  std::uint32_t x = region.col_begin;
+  std::uint32_t y = region.row_begin;
+  std::uint64_t d = 0;
+  for (std::uint32_t s = 1u << 30; s > 0; s >>= 1) {
+    const std::uint32_t rx = (x & s) ? 1 : 0;
+    const std::uint32_t ry = (y & s) ? 1 : 0;
+    d += static_cast<std::uint64_t>(s) * s * ((3 * rx) ^ ry);
+    if (ry == 0) {  // rotate the quadrant so the curve stays continuous
+      if (rx == 1) {
+        x = s - 1 - x;
+        y = s - 1 - y;
+      }
+      std::swap(x, y);
+    }
+  }
+  return d;
 }
 
 std::vector<Pair> pairs_of(const Region& region) {
@@ -91,7 +114,7 @@ std::vector<ItemIndex> working_set_items(const Region& r) {
 namespace {
 
 /// Mirror of StealExecutor::descend: split while over budget, children in
-/// split() order — the historical schedule, and the Z/Morton nesting.
+/// split() order.
 void collect_leaves(const Region& region, PairCount max_leaf_pairs,
                     std::vector<Region>& out) {
   if (count_pairs(region) == 0) return;
@@ -104,85 +127,18 @@ void collect_leaves(const Region& region, PairCount max_leaf_pairs,
   }
 }
 
-std::uint32_t bits_for(ItemIndex extent) {
-  std::uint32_t bits = 1;
-  while ((1u << bits) < extent && bits < 31) ++bits;
-  return bits;
-}
-
-std::uint64_t morton_code(std::uint32_t row, std::uint32_t col) {
-  std::uint64_t code = 0;
-  for (std::uint32_t b = 0; b < 32; ++b) {
-    code |= (static_cast<std::uint64_t>((row >> b) & 1u) << (2 * b + 1)) |
-            (static_cast<std::uint64_t>((col >> b) & 1u) << (2 * b));
-  }
-  return code;
-}
-
-/// Hilbert d-index of (x, y) on a 2^bits × 2^bits grid (the classic
-/// rotate-and-flip accumulation).
-std::uint64_t hilbert_index(std::uint32_t bits, std::uint32_t x,
-                            std::uint32_t y) {
-  std::uint64_t d = 0;
-  for (std::uint32_t s = 1u << (bits - 1); s > 0; s >>= 1) {
-    const std::uint32_t rx = (x & s) ? 1 : 0;
-    const std::uint32_t ry = (y & s) ? 1 : 0;
-    d += static_cast<std::uint64_t>(s) * s * ((3 * rx) ^ ry);
-    if (ry == 0) {  // rotate the quadrant so the curve stays continuous
-      if (rx == 1) {
-        x = s - 1 - x;
-        y = s - 1 - y;
-      }
-      std::swap(x, y);
-    }
-  }
-  return d;
-}
-
 }  // namespace
 
 std::vector<Region> leaves(const std::vector<Region>& roots,
-                           PairCount max_leaf_pairs, Traversal order) {
+                           PairCount max_leaf_pairs) {
+  std::vector<Region> ranked = roots;
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const Region& a, const Region& b) {
+    return curve_rank(a) < curve_rank(b);
+  });
   std::vector<Region> out;
-  ItemIndex extent = 0;
-  for (const Region& root : roots) {
+  for (const Region& root : ranked) {
     collect_leaves(root, std::max<PairCount>(1, max_leaf_pairs), out);
-    extent = std::max({extent, root.row_end, root.col_end});
-  }
-  switch (order) {
-    case Traversal::kDepthFirst:
-      break;
-    case Traversal::kRowMajor:
-      std::sort(out.begin(), out.end(), [](const Region& a, const Region& b) {
-        return std::tie(a.row_begin, a.col_begin) <
-               std::tie(b.row_begin, b.col_begin);
-      });
-      break;
-    case Traversal::kMorton:
-    case Traversal::kHilbert: {
-      const std::uint32_t bits = bits_for(extent);
-      // Decorated sort: one curve-key computation per leaf, not per
-      // comparison (the key loops over coordinate bits).
-      std::vector<std::pair<std::uint64_t, Region>> keyed;
-      keyed.reserve(out.size());
-      for (const Region& r : out) {
-        keyed.emplace_back(order == Traversal::kMorton
-                               ? morton_code(r.row_begin, r.col_begin)
-                               : hilbert_index(bits, r.col_begin,
-                                               r.row_begin),
-                           r);
-      }
-      std::sort(keyed.begin(), keyed.end(),
-                [](const auto& a, const auto& b) {
-                  if (a.first != b.first) return a.first < b.first;
-                  // Leaves have distinct origins; the tie-break only makes
-                  // the order total for degenerate inputs.
-                  return std::tie(a.second.row_begin, a.second.col_begin) <
-                         std::tie(b.second.row_begin, b.second.col_begin);
-                });
-      for (std::size_t i = 0; i < keyed.size(); ++i) out[i] = keyed[i].second;
-      break;
-    }
   }
   return out;
 }

@@ -50,9 +50,21 @@ PairCount count_pairs(const Region& region);
 bool is_empty(const Region& region);
 
 /// Quadrant split. Returns the non-empty quadrants (up to 4), each with
-/// depth = region.depth + 1. Splitting a region with <= 1 pair returns it
-/// unchanged as its only element.
+/// depth = region.depth + 1, in curve_rank order: this is the one place
+/// that decides the visit order of every descent (the live executor, the
+/// simulator's scheduler and leaves()). Splitting a region with <= 1 pair
+/// returns it unchanged as its only element.
 std::vector<Region> split(const Region& region);
+
+/// Position of `region` along the schedule: the Hilbert index of its
+/// origin (col_begin, row_begin) on a fixed 2^31 × 2^31 grid, so item
+/// indices must stay below 2^31. The rank depends on the region alone.
+/// Every aligned power-of-two block is one contiguous stretch of the
+/// curve, so visiting split() children in rank order walks the curve, and
+/// consecutive leaves share rows or columns (the scheduling-order lever of
+/// Schoeneman & Zola's Spark all-pairs work, applied to the slot caches).
+/// A stolen or re-granted region ranks the same on every node.
+std::uint64_t curve_rank(const Region& region);
 
 /// Enumerate every pair in the region in row-major order.
 template <typename Fn>
@@ -96,42 +108,17 @@ ItemRange col_items(const Region& region);
 /// compares; its size always equals working_set_size(region).
 std::vector<ItemIndex> working_set_items(const Region& region);
 
-/// Order in which a region's leaves are enumerated / executed. The order
-/// decides how many *cold* items consecutive tiles introduce, which is what
-/// the slot caches pay for (the scheduling-order lever of Schoeneman &
-/// Zola's Spark all-pairs work, applied to our software caches):
-///   * kDepthFirst — the quadtree split order (Z/Morton nesting). This is
-///     the work-stealing executor's native descent order and the
-///     historical schedule; reuse distance is bounded by quadrant size.
-///   * kMorton    — leaves sorted by the Morton (bit-interleave) code of
-///     their origin; the flattened form of kDepthFirst.
-///   * kHilbert   — leaves sorted by Hilbert-curve index; consecutive
-///     tiles always share a side (rows or columns), which minimises the
-///     adjacent-transition cost among these orders.
-///   * kRowMajor  — leaves sorted by (row_begin, col_begin); the locality
-///     baseline: every row of tiles re-walks the full column span.
-enum class Traversal : std::uint8_t {
-  kDepthFirst,
-  kMorton,
-  kHilbert,
-  kRowMajor,
-};
-
 /// Decompose every region of `roots` into leaves of at most
-/// `max_leaf_pairs` pairs (the exact leaf set the executor's depth-first
-/// descent produces) and return them in the given traversal order. The
-/// leaf *set* is order-invariant; only the sequence changes. kDepthFirst
-/// keeps the roots' order; the sorted orders rank all leaves together on
-/// one grid spanning every root.
+/// `max_leaf_pairs` pairs, in the order a one-worker executor hands them
+/// out: roots in curve_rank order, each descended depth-first through
+/// split(). The reference sequence of the schedule.
 std::vector<Region> leaves(const std::vector<Region>& roots,
-                           PairCount max_leaf_pairs,
-                           Traversal order = Traversal::kDepthFirst);
+                           PairCount max_leaf_pairs);
 
 /// Cold-item cost of executing `leaves` in sequence with a cache that
 /// holds exactly the previous leaf's working set: sum over leaves of the
 /// distinct items not referenced by the predecessor (the first leaf is
-/// all cold). The locality figure of merit for comparing traversal
-/// orders.
+/// all cold). The locality figure of merit for comparing visit orders.
 std::uint64_t cold_transition_items(const std::vector<Region>& leaves);
 
 /// Static node-level partition of the n-item pair space (the live mesh's

@@ -187,7 +187,6 @@ LiveCluster::Report LiveCluster::run_all_pairs(
     mc.num_workers =
         static_cast<std::uint32_t>(config_.node.devices.size());
     mc.hop_limit = config_.hop_limit;
-    mc.max_chain_hops = config_.max_chain_hops;
     mc.seed = config_.node.seed;
     if (p > 1) {
       mc.heartbeat_interval_s = config_.heartbeat_interval_s;

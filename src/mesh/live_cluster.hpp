@@ -83,10 +83,6 @@ struct LiveClusterConfig {
   double fetch_timeout_s = 0.25;
   std::uint32_t max_fetch_retries = 3;
 
-  /// Mediator chain-walk cap (0 = the hop limit h); truncations are
-  /// counted in DirectoryStats::chain_aborts.
-  std::uint32_t max_chain_hops = 0;
-
   /// Scripted, replayable node kills (chaos tests, the demo's
   /// --kill-node / --kill-master). Killing node 0 is survivable with
   /// master failover (see lease_timeout_s; the lowest live node adopts

@@ -65,7 +65,7 @@ void MeshNode::record_child_span(const telemetry::SpanContext& parent,
 MeshNode::MeshNode(Config config, Transport& transport,
                    std::shared_ptr<std::atomic<bool>> done)
     : cfg_(std::move(config)), transport_(transport), done_(std::move(done)),
-      directory_(cfg_.hop_limit, cfg_.max_chain_hops),
+      directory_(cfg_.hop_limit),
       epoch_(std::chrono::steady_clock::now()) {
   stats_.hits_at_hop.assign(cfg_.hop_limit, 0);
   const auto p = transport_.num_nodes();

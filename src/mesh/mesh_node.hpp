@@ -116,7 +116,6 @@ class MeshNode final : public runtime::PeerFetchClient {
     NodeId id = 0;
     std::uint32_t num_workers = 1;  // steal cells, one per executor worker
     std::uint32_t hop_limit = 1;    // the paper's h
-    std::uint32_t max_chain_hops = 0;  // mediator hand-out cap (0 = h)
     std::uint64_t seed = 1;
 
     // --- failure model (DESIGN.md §12) ---

@@ -1130,7 +1130,6 @@ NodeRuntime::Report NodeRuntime::run_impl(const Application& app,
   exec_cfg.num_workers = static_cast<std::uint32_t>(eng.devices.size());
   exec_cfg.max_leaf_pairs = config_.max_leaf_pairs;
   exec_cfg.seed = config_.seed;
-  exec_cfg.leaf_order = config_.leaf_order;
   steal::StealExecutor executor(exec_cfg);
   const auto leaf = [&eng](const dnc::Region& region,
                            std::uint32_t worker) {

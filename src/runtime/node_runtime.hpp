@@ -138,14 +138,6 @@ class NodeRuntime {
     /// (DESIGN.md §6, §11).
     std::uint32_t job_limit_per_worker = 8;
 
-    /// Leaf visitation order (dnc::Traversal) of run() and of a mesh
-    /// node's partition share in run_partition(). kDepthFirst is the
-    /// executor's native descent — the historical schedule; kHilbert
-    /// orders tiles along a Hilbert curve so consecutive tiles share rows
-    /// or columns (fewer cold items per step, fewer loads under a small
-    /// cache); kRowMajor is the locality baseline for head-to-heads.
-    dnc::Traversal leaf_order = dnc::Traversal::kDepthFirst;
-
     /// Leaf budget of the divide-and-conquer decomposition (§4.2); at
     /// least 1. It also sizes tiles: a tile may pin the working set of a
     /// whole square leaf, 2⌊√max_leaf_pairs⌋ items (16 for the default

@@ -40,36 +40,45 @@ StealExecutor::StealExecutor(Config config) : config_(config) {
 }
 
 ExecutorStats StealExecutor::run(dnc::ItemIndex n, const LeafFn& leaf) {
-  const auto total = static_cast<std::int64_t>(
-      dnc::count_pairs(dnc::root_region(n)));
-  std::atomic<std::int64_t> pairs_remaining{total};
-  std::atomic<std::uint64_t> steals{0}, failed_sweeps{0}, leaves{0};
-
-  std::vector<std::unique_ptr<ChaseLevDeque<dnc::Region>>> owned;
-  std::vector<ChaseLevDeque<dnc::Region>*> deques;
-  for (std::uint32_t w = 0; w < config_.num_workers; ++w) {
-    owned.push_back(std::make_unique<ChaseLevDeque<dnc::Region>>());
-    deques.push_back(owned.back().get());
-  }
-  seed({dnc::root_region(n)}, deques);
-
-  std::vector<std::thread> threads;
-  threads.reserve(config_.num_workers);
-  for (std::uint32_t w = 0; w < config_.num_workers; ++w) {
-    threads.emplace_back([&, w] {
-      worker_loop(w, leaf, deques, pairs_remaining, steals, failed_sweeps,
-                  leaves);
-    });
-  }
-  for (auto& t : threads) t.join();
-
+  // The root-seeded case of run_partition: with no peers, the run is done
+  // once every pair has been handed out.
+  const dnc::Region root = dnc::root_region(n);
+  std::atomic<std::int64_t> pairs_remaining{
+      static_cast<std::int64_t>(dnc::count_pairs(root))};
+  RemoteHooks hooks;
+  hooks.done = [&pairs_remaining] {
+    return pairs_remaining.load(std::memory_order_acquire) <= 0;
+  };
+  const ExecutorStats stats = run_partition(
+      {root},
+      [&](const dnc::Region& region, std::uint32_t worker) {
+        leaf(region, worker);
+        pairs_remaining.fetch_sub(
+            static_cast<std::int64_t>(dnc::count_pairs(region)),
+            std::memory_order_acq_rel);
+      },
+      hooks, nullptr);
   ROCKET_CHECK(pairs_remaining.load() == 0, "executor lost pairs");
-  ExecutorStats stats;
-  stats.leaves = leaves.load();
-  stats.steals = steals.load();
-  stats.failed_steal_sweeps = failed_sweeps.load();
   return stats;
 }
+
+namespace {
+
+/// Deal `regions` in curve_rank order round-robin over `deques`, pushing
+/// each deque in reverse so its owner's LIFO pops follow the curve.
+void seed(std::vector<dnc::Region> regions,
+          std::vector<ChaseLevDeque<dnc::Region>*>& deques) {
+  std::erase_if(regions, [](const dnc::Region& r) { return dnc::is_empty(r); });
+  std::stable_sort(regions.begin(), regions.end(),
+                   [](const dnc::Region& a, const dnc::Region& b) {
+                     return dnc::curve_rank(a) < dnc::curve_rank(b);
+                   });
+  for (std::size_t i = regions.size(); i > 0; --i) {
+    deques[(i - 1) % deques.size()]->push(new dnc::Region(regions[i - 1]));
+  }
+}
+
+}  // namespace
 
 ExecutorStats StealExecutor::run_partition(
     const std::vector<dnc::Region>& regions, const LeafFn& leaf,
@@ -100,8 +109,8 @@ ExecutorStats StealExecutor::run_partition(
   threads.reserve(config_.num_workers);
   for (std::uint32_t w = 0; w < config_.num_workers; ++w) {
     threads.emplace_back([&, w] {
-      partition_worker_loop(w, leaf, deques, hooks, steals, remote_steals,
-                            failed_sweeps, leaves);
+      worker_loop(w, leaf, deques, hooks, steals, remote_steals,
+                  failed_sweeps, leaves);
     });
   }
   for (auto& t : threads) t.join();
@@ -132,41 +141,10 @@ ExecutorStats StealExecutor::run_partition(
   return stats;
 }
 
-void StealExecutor::seed(
-    const std::vector<dnc::Region>& regions,
-    std::vector<ChaseLevDeque<dnc::Region>*>& deques) const {
-  if (config_.leaf_order == dnc::Traversal::kDepthFirst) {
-    std::size_t next = 0;
-    for (const auto& region : regions) {
-      if (dnc::count_pairs(region) == 0) continue;
-      deques[next % deques.size()]->push(new dnc::Region(region));
-      ++next;
-    }
-    return;
-  }
-  // Materialised traversal: one contiguous chunk of the ordered leaf list
-  // per worker, each pushed in reverse so the owner's LIFO pops walk its
-  // chunk front to back. Chunking keeps the curve's adjacency within
-  // every worker and starts all workers busy — seeding a single deque
-  // would turn the other workers' entire share into per-leaf steals of
-  // arbitrary far-end leaves.
-  const auto ordered =
-      dnc::leaves(regions, config_.max_leaf_pairs, config_.leaf_order);
-  const std::size_t per_worker =
-      (ordered.size() + deques.size() - 1) / deques.size();
-  for (std::size_t w = 0; w < deques.size(); ++w) {
-    const std::size_t begin = w * per_worker;
-    const std::size_t end = std::min(ordered.size(), begin + per_worker);
-    for (std::size_t i = end; i > begin; --i) {
-      deques[w]->push(new dnc::Region(ordered[i - 1]));
-    }
-  }
-}
-
-std::uint64_t StealExecutor::descend(dnc::Region current,
-                                     ChaseLevDeque<dnc::Region>& mine,
-                                     const LeafFn& leaf, std::uint32_t id,
-                                     std::atomic<std::uint64_t>& leaves) {
+void StealExecutor::descend(dnc::Region current,
+                            ChaseLevDeque<dnc::Region>& mine,
+                            const LeafFn& leaf, std::uint32_t id,
+                            std::atomic<std::uint64_t>& leaves) {
   // Depth-first descent to a leaf; siblings become stealable.
   while (dnc::count_pairs(current) > config_.max_leaf_pairs) {
     auto children = dnc::split(current);
@@ -177,52 +155,9 @@ std::uint64_t StealExecutor::descend(dnc::Region current,
   }
   leaf(current, id);
   leaves.fetch_add(1, std::memory_order_relaxed);
-  return dnc::count_pairs(current);
 }
 
 void StealExecutor::worker_loop(
-    std::uint32_t id, const LeafFn& leaf,
-    std::vector<ChaseLevDeque<dnc::Region>*>& deques,
-    std::atomic<std::int64_t>& pairs_remaining,
-    std::atomic<std::uint64_t>& steals,
-    std::atomic<std::uint64_t>& failed_sweeps,
-    std::atomic<std::uint64_t>& leaves) {
-  Rng rng(config_.seed * 0x9E3779B97F4A7C15ULL + id + 1);
-  ChaseLevDeque<dnc::Region>& mine = *deques[id];
-
-  std::vector<std::uint32_t> victims;
-  for (std::uint32_t w = 0; w < deques.size(); ++w) {
-    if (w != id) victims.push_back(w);
-  }
-
-  while (pairs_remaining.load(std::memory_order_acquire) > 0) {
-    dnc::Region* region = mine.pop();
-    if (region == nullptr && !victims.empty()) {
-      // Random-order sweep over all victims; steal the largest available.
-      rng.shuffle(victims);
-      for (const std::uint32_t victim : victims) {
-        region = deques[victim]->steal();
-        if (region != nullptr) {
-          steals.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
-    }
-    if (region == nullptr) {
-      failed_sweeps.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::yield();
-      continue;
-    }
-
-    const dnc::Region current = *region;
-    delete region;
-    pairs_remaining.fetch_sub(
-        static_cast<std::int64_t>(descend(current, mine, leaf, id, leaves)),
-        std::memory_order_acq_rel);
-  }
-}
-
-void StealExecutor::partition_worker_loop(
     std::uint32_t id, const LeafFn& leaf,
     std::vector<ChaseLevDeque<dnc::Region>*>& deques, const RemoteHooks& hooks,
     std::atomic<std::uint64_t>& steals,
@@ -246,6 +181,7 @@ void StealExecutor::partition_worker_loop(
   while (!hooks.done()) {
     dnc::Region* region = mine.pop();
     if (region == nullptr && !victims.empty()) {
+      // Random-order sweep over all victims; steal the largest available.
       rng.shuffle(victims);
       for (const std::uint32_t victim : victims) {
         region = deques[victim]->steal();
@@ -265,8 +201,12 @@ void StealExecutor::partition_worker_loop(
     }
     if (region == nullptr) {
       failed_sweeps.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(backoff);
-      backoff = std::min(backoff * 2, kMaxBackoff);
+      if (hooks.steal) {
+        std::this_thread::sleep_for(backoff);
+        backoff = std::min(backoff * 2, kMaxBackoff);
+      } else {
+        std::this_thread::yield();
+      }
       continue;
     }
 

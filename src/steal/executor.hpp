@@ -3,15 +3,20 @@
 // Live multithreaded divide-and-conquer executor (the Constellation role).
 //
 // Spawns one worker thread per configured worker (the runtime launches one
-// per GPU, as the paper does). The seed regions go onto the workers'
-// deques (Config::leaf_order); workers descend depth-first over their own
-// Chase–Lev deque and steal the largest region from random victims when
-// idle. The leaf callback is invoked on the worker's thread — Rocket's
+// per GPU, as the paper does). There is one schedule, and dnc::split()
+// decides it: a split returns its quadrants along a Hilbert curve, so a
+// worker's depth-first descent (pop, split, descend the first child, push
+// the siblings) walks its region along the curve lazily, in O(depth)
+// memory, and consecutive leaves share rows or columns. The simulator's
+// RegionScheduler descends the same way, and dnc::leaves() is the
+// one-worker reference sequence. Idle workers steal the oldest region of
+// a random victim's Chase–Lev deque, which is its shallowest and largest
+// (§4.2). The leaf callback is invoked on the worker's thread — Rocket's
 // runtime uses it to submit comparison jobs, and its back-pressure
 // (concurrent job limit) naturally throttles the executor, exactly as
 // §4.2 describes.
 //
-// Two entry points:
+// Two entry points share one worker loop:
 //   * run()           — single-node: seed the root region, terminate when
 //                       every pair has been handed out.
 //   * run_partition() — one node of a live mesh: seed this node's share of
@@ -66,22 +71,12 @@ class StealExecutor {
     std::uint32_t num_workers = 1;
     std::uint64_t max_leaf_pairs = 1;
     std::uint64_t seed = 1;
-
-    /// Leaf visitation order of the seeded work: the root in run(), the
-    /// node's partition share in run_partition(). kDepthFirst is the
-    /// native work-stealing descent (seed regions pushed round-robin,
-    /// siblings re-derived on the fly — the historical schedule). Any
-    /// other order materialises the seeds' leaves up front (dnc::leaves,
-    /// one curve grid for all seeds) and gives each worker's deque one
-    /// contiguous chunk, so every worker pops its chunk in exactly that
-    /// order; idle workers still steal from the far end. Regions stolen
-    /// in from other nodes descend natively.
-    dnc::Traversal leaf_order = dnc::Traversal::kDepthFirst;
   };
 
   /// Cross-node hooks for run_partition. `steal` may block briefly (it is
-  /// internally bounded by a reply timeout); `done` is the cluster-wide
-  /// termination flag — true only once every pair everywhere completed.
+  /// internally bounded by a reply timeout) and may be empty (no remote
+  /// work); `done` is the cluster-wide termination flag — true only once
+  /// every pair everywhere completed.
   struct RemoteHooks {
     std::function<std::optional<dnc::Region>(std::uint32_t worker)> steal;
     std::function<bool()> done;
@@ -99,42 +94,37 @@ class StealExecutor {
   /// pair has been handed to `leaf`. Returns aggregate stats.
   ExecutorStats run(dnc::ItemIndex n, const LeafFn& leaf);
 
-  /// Execute one node's share of a mesh run: `regions` seed the local
-  /// deques (in Config::leaf_order), idle workers fall back to
-  /// hooks.steal after a failed local sweep, and the loop exits only
-  /// when hooks.done() — by which point every locally seeded or
-  /// stolen-in region has either been executed here or been exported
-  /// through `exporter`. `exporter` may be null (no work export).
+  /// Execute one node's share of a mesh run. `regions`, sorted by
+  /// dnc::curve_rank, are dealt round-robin over the workers' deques, so
+  /// each owner pops its share along the curve and each steal end holds
+  /// the share's last region. Idle workers fall back to hooks.steal after
+  /// a failed local sweep, and the loop exits only when hooks.done() — by
+  /// which point every locally seeded or stolen-in region has either been
+  /// executed here or been exported through `exporter`. `exporter` may be
+  /// null (no work export).
   ExecutorStats run_partition(const std::vector<dnc::Region>& regions,
                               const LeafFn& leaf, const RemoteHooks& hooks,
                               StealExporter* exporter);
 
  private:
+  /// The one worker loop. Exits once hooks.done(). An idle worker sweeps
+  /// the local deques in random order; if that fails it yields when there
+  /// is no hooks.steal, and otherwise asks a peer, backing off 1→16 ms
+  /// after each empty remote steal.
   void worker_loop(std::uint32_t id, const LeafFn& leaf,
                    std::vector<ChaseLevDeque<dnc::Region>*>& deques,
-                   std::atomic<std::int64_t>& pairs_remaining,
+                   const RemoteHooks& hooks,
                    std::atomic<std::uint64_t>& steals,
+                   std::atomic<std::uint64_t>& remote_steals,
                    std::atomic<std::uint64_t>& failed_sweeps,
                    std::atomic<std::uint64_t>& leaves);
 
-  void partition_worker_loop(std::uint32_t id, const LeafFn& leaf,
-                             std::vector<ChaseLevDeque<dnc::Region>*>& deques,
-                             const RemoteHooks& hooks,
-                             std::atomic<std::uint64_t>& steals,
-                             std::atomic<std::uint64_t>& remote_steals,
-                             std::atomic<std::uint64_t>& failed_sweeps,
-                             std::atomic<std::uint64_t>& leaves);
-
-  /// Seed the workers' deques with `regions` in Config::leaf_order. Both
-  /// entry points start here.
-  void seed(const std::vector<dnc::Region>& regions,
-            std::vector<ChaseLevDeque<dnc::Region>*>& deques) const;
-
   /// Depth-first descent: split `region` down to a leaf, pushing siblings
-  /// onto `mine`, then invoke leaf. Returns the leaf's pair count.
-  std::uint64_t descend(dnc::Region region, ChaseLevDeque<dnc::Region>& mine,
-                        const LeafFn& leaf, std::uint32_t id,
-                        std::atomic<std::uint64_t>& leaves);
+  /// onto `mine` so the owner pops them in split() order, then invoke
+  /// leaf.
+  void descend(dnc::Region region, ChaseLevDeque<dnc::Region>& mine,
+               const LeafFn& leaf, std::uint32_t id,
+               std::atomic<std::uint64_t>& leaves);
 
   Config config_;
 };

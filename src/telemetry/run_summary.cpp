@@ -132,7 +132,6 @@ std::string RunSummary::to_json() const {
       .field("chain_hits", r.directory.chain_hits)
       .field("chain_misses", r.directory.chain_misses)
       .field("hops", r.directory.hops)
-      .field("chain_aborts", r.directory.chain_aborts)
       .end_object();
 
   w.key("peer_cache")

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -370,6 +371,57 @@ TEST(Compress, RejectsCorruptInput) {
   ByteBuffer packed = lz_compress(data);
   packed.resize(packed.size() / 2);  // truncate
   EXPECT_THROW(lz_decompress(packed), std::runtime_error);
+}
+
+/// Hand-built compressed stream: the 8-byte little-endian size header
+/// lz_compress writes, then tokens appended with `varint`.
+ByteBuffer compressed_header(std::uint64_t claimed_size) {
+  ByteBuffer out;
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<std::uint8_t>(claimed_size >> (8 * i)));
+  }
+  return out;
+}
+
+void varint(ByteBuffer& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+/// The message lz_decompress throws on `input` (empty if it returns).
+std::string decompress_error(const ByteBuffer& input) {
+  try {
+    lz_decompress(input);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(Compress, RejectsMatchLongerThanTheEncoderWrites) {
+  // One literal, then a match of 1 MiB - 1 bytes at distance 1; the header
+  // claims exactly that total. The encoder never writes a match longer
+  // than 259 bytes, so the stream is rejected before it expands.
+  constexpr std::uint64_t kTotal = 1 << 20;
+  ByteBuffer input = compressed_header(kTotal);
+  varint(input, 1 << 1);
+  input.push_back('x');
+  varint(input, ((kTotal - 1 - 4) << 1) | 1);  // length - kMinMatch, match
+  varint(input, 1);
+  EXPECT_THROW(lz_decompress(input), std::runtime_error);
+  EXPECT_EQ(decompress_error(input), "lz_decompress: match too long");
+}
+
+TEST(Compress, RejectsLiteralRunPastTheClaimedSize) {
+  // The header claims 4 bytes; a 64 KiB literal run follows in full. It
+  // must be refused before it is copied, not by the final size check.
+  constexpr std::uint64_t kRun = 1 << 16;
+  ByteBuffer input = compressed_header(4);
+  varint(input, kRun << 1);
+  input.insert(input.end(), kRun, 'y');
+  EXPECT_THROW(lz_decompress(input), std::runtime_error);
+  EXPECT_EQ(decompress_error(input),
+            "lz_decompress: output exceeds claimed size");
 }
 
 }  // namespace

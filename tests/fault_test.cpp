@@ -209,22 +209,7 @@ TEST(ResultLedger, TransferMovesOnlyUndeliveredPairs) {
   EXPECT_EQ(ledger.regions_regranted(), 1u);
 }
 
-// --- mediator chain-walk cap and prune ------------------------------------
-
-TEST(DistributedDirectory, ChainWalkCapTruncatesAndCounts) {
-  cache::DistributedDirectory directory(/*max_candidates=*/4,
-                                        /*max_chain_hops=*/1);
-  const cache::ItemId item = 9;
-  EXPECT_TRUE(directory.on_request(item, 1).empty());
-  EXPECT_EQ(directory.on_request(item, 2), (std::vector<cache::NodeId>{1}));
-  EXPECT_EQ(directory.stats().chain_aborts, 0u);
-
-  // Three candidates known; the hand-out is capped at one hop and the
-  // truncation is counted.
-  EXPECT_EQ(directory.on_request(item, 3), (std::vector<cache::NodeId>{2}));
-  EXPECT_EQ(directory.on_request(item, 4), (std::vector<cache::NodeId>{3}));
-  EXPECT_EQ(directory.stats().chain_aborts, 2u);
-}
+// --- mediator prune ------------------------------------------------------
 
 TEST(DistributedDirectory, RemoveNodePrunesCandidates) {
   cache::DistributedDirectory directory(4);
@@ -476,7 +461,6 @@ ChaosOutcome run_chaos(const runtime::Application& app,
   cfg.node.cache_shards = 2;
   cfg.node.max_leaf_pairs = 1;
   cfg.hop_limit = 2;
-  cfg.max_chain_hops = 1;  // exercise the chain-walk cap under churn
   cfg.heartbeat_interval_s = 0.005;
   cfg.lease_timeout_s = 0.05;
   cfg.fetch_timeout_s = 0.02;
@@ -609,7 +593,6 @@ TEST(ChaosMatrix, GreyFailureStragglerFlakyStoreAndKillSurvived) {
   cfg.node.cpu_threads = 2;
   cfg.node.cache_shards = 2;
   cfg.hop_limit = 2;
-  cfg.max_chain_hops = 1;
   cfg.heartbeat_interval_s = 0.005;
   cfg.lease_timeout_s = 0.05;
   cfg.fetch_timeout_s = 0.02;
@@ -1065,7 +1048,6 @@ DurableOutcome run_durable(const runtime::Application& app,
   cfg.node.cpu_threads = 2;
   cfg.node.cache_shards = 2;
   cfg.hop_limit = 2;
-  cfg.max_chain_hops = 1;
   cfg.heartbeat_interval_s = 0.005;
   cfg.lease_timeout_s = 0.05;
   cfg.fetch_timeout_s = 0.02;

@@ -282,18 +282,9 @@ TEST(LiveCluster, FourNodeForensicsMatchesSingleNodeExactly) {
   // Default heartbeats arm the failover master (standby mirror, master
   // tick). With heartbeats off the master has no failover, no journal and
   // no tick: its flush batches are the only delivery path, and the final
-  // pair's flush alone must end the run. The Hilbert cell orders every
-  // node's partition leaves along the curve.
-  struct Cell {
-    bool heartbeats;
-    dnc::Traversal order;
-  };
-  for (const Cell cell : {Cell{true, dnc::Traversal::kDepthFirst},
-                          Cell{false, dnc::Traversal::kDepthFirst},
-                          Cell{true, dnc::Traversal::kHilbert}}) {
-    const bool heartbeats = cell.heartbeats;
-    SCOPED_TRACE(std::string(heartbeats ? "heartbeats on" : "heartbeats off") +
-                 (cell.order == dnc::Traversal::kHilbert ? ", hilbert" : ""));
+  // pair's flush alone must end the run.
+  for (const bool heartbeats : {true, false}) {
+    SCOPED_TRACE(heartbeats ? "heartbeats on" : "heartbeats off");
     LiveClusterConfig cfg;
     cfg.num_nodes = 4;
     cfg.node.devices = {gpu::titanx_maxwell()};
@@ -303,7 +294,6 @@ TEST(LiveCluster, FourNodeForensicsMatchesSingleNodeExactly) {
     // regardless of the host's core count: the exact-multiset guarantee
     // must hold with sharding enabled.
     cfg.node.cache_shards = 4;
-    cfg.node.leaf_order = cell.order;
     if (!heartbeats) cfg.heartbeat_interval_s = 0;
     LiveCluster cluster(cfg);
 

@@ -490,12 +490,14 @@ TEST(NodeRuntime, MultiDeviceSharesWork) {
   NodeRuntime runtime(rt);
   NodeRuntime::Report report;
   const ResultMap results = collect(runtime, app, store, &report);
+  // Every pair arrives once and the devices' counts account for all of
+  // them. How the 3 leaves fall across the devices is the executor's
+  // stealing, which steal_test checks (a worker that starts late may find
+  // every leaf taken, so no device is promised a share here).
   EXPECT_EQ(results.size(), 16u * 15 / 2);
   ASSERT_EQ(report.pairs_per_device.size(), 2u);
   EXPECT_EQ(report.pairs_per_device[0] + report.pairs_per_device[1],
             results.size());
-  EXPECT_GT(report.pairs_per_device[0], 0u);
-  EXPECT_GT(report.pairs_per_device[1], 0u);
 }
 
 TEST(NodeRuntime, TinyCacheStillCorrect) {

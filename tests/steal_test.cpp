@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -253,31 +256,6 @@ TEST(StealExecutor, AllPairsProcessedExactlyOnce) {
   EXPECT_EQ(stats.leaves, 40u * 39 / 2);
 }
 
-TEST(StealExecutor, MaterialisedOrdersCoverAllPairsAcrossWorkers) {
-  // Non-default leaf orders pre-materialise the leaf list and seed every
-  // worker's deque with a contiguous chunk; the union executed across
-  // all workers must still be exactly the root pair set, for every
-  // order and a multi-worker pool.
-  for (const auto order : {dnc::Traversal::kHilbert, dnc::Traversal::kMorton,
-                           dnc::Traversal::kRowMajor}) {
-    StealExecutor::Config cfg;
-    cfg.num_workers = 3;
-    cfg.max_leaf_pairs = 8;
-    cfg.leaf_order = order;
-    StealExecutor exec(cfg);
-    std::mutex mutex;
-    std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
-    exec.run(60, [&](const dnc::Region& region, std::uint32_t) {
-      std::scoped_lock lock(mutex);
-      dnc::for_each_pair(region, [&](dnc::Pair p) {
-        EXPECT_TRUE(seen.insert({p.left, p.right}).second)
-            << "pair processed twice";
-      });
-    });
-    EXPECT_EQ(seen.size(), 60u * 59 / 2);
-  }
-}
-
 TEST(StealExecutor, CoarseLeavesConserveWork) {
   StealExecutor::Config cfg;
   cfg.num_workers = 3;
@@ -322,6 +300,40 @@ TEST(StealExecutor, EmptyAndTrivialProblems) {
   EXPECT_EQ(leaves.load(), 0);
   exec.run(2, [&](const dnc::Region&, std::uint32_t) { leaves++; });
   EXPECT_EQ(leaves.load(), 1);
+}
+
+TEST(StealExecutor, IdleWorkerTakesWorkWhileAnotherHoldsALeaf) {
+  // Sharing is decided here, by stealing: the first leaf handed out is
+  // held until another worker has taken a leaf of its own, which only a
+  // steal from the holder's deque can give it. A bounded wait turns a
+  // worker that never steals into a test failure instead of a hang.
+  StealExecutor::Config cfg;
+  cfg.num_workers = 2;
+  cfg.max_leaf_pairs = 64;  // 16 items make 3 leaves, as in the runtime
+  StealExecutor exec(cfg);
+
+  std::mutex mutex;
+  std::condition_variable taken;
+  std::optional<std::uint32_t> holder;
+  bool other_took_one = false;
+  bool timed_out = false;
+  std::array<std::uint64_t, 2> leaves_of{};
+  exec.run(16, [&](const dnc::Region&, std::uint32_t worker) {
+    std::unique_lock lock(mutex);
+    ++leaves_of[worker];
+    if (!holder) {
+      holder = worker;
+      timed_out = !taken.wait_for(lock, std::chrono::seconds(30),
+                                  [&] { return other_took_one; });
+    } else if (worker != *holder && !other_took_one) {
+      other_took_one = true;
+      taken.notify_all();
+    }
+  });
+  EXPECT_FALSE(timed_out) << "no other worker took a leaf within 30 s";
+  EXPECT_GT(leaves_of[0], 0u);
+  EXPECT_GT(leaves_of[1], 0u);
+  EXPECT_EQ(leaves_of[0] + leaves_of[1], 3u);
 }
 
 TEST(StealExecutor, PartitionModeIntegratesRemoteWork) {
@@ -375,17 +387,18 @@ TEST(StealExecutor, PartitionModeIntegratesRemoteWork) {
   EXPECT_GT(stats.remote_steals, 0u);
 }
 
-/// Leaves a one-worker run_partition hands out over node 0's share of a
-/// two-node partition of 64 items, in `order`, with 8-pair leaves.
-std::vector<dnc::Region> partition_leaf_sequence(dnc::Traversal order) {
+TEST(StealExecutor, PartitionRunsHonourLeafOrder) {
+  // A one-worker run_partition over node 0's share of a two-node
+  // partition of 64 items hands out exactly dnc::leaves(share), in order:
+  // the seeds by curve rank, each descended through split().
   const auto share = dnc::partition_root(64, 2)[0];
+  ASSERT_GT(share.size(), 1u);
   std::uint64_t total = 0;
   for (const auto& region : share) total += dnc::count_pairs(region);
 
   StealExecutor::Config cfg;
   cfg.num_workers = 1;
   cfg.max_leaf_pairs = 8;
-  cfg.leaf_order = order;
   StealExecutor exec(cfg);
   std::vector<dnc::Region> handed;
   std::atomic<std::uint64_t> executed{0};
@@ -398,24 +411,8 @@ std::vector<dnc::Region> partition_leaf_sequence(dnc::Traversal order) {
         executed.fetch_add(dnc::count_pairs(region));
       },
       hooks, nullptr);
-  return handed;
-}
-
-TEST(StealExecutor, PartitionRunsHonourLeafOrder) {
-  const auto share = dnc::partition_root(64, 2)[0];
-
-  const auto row_major = partition_leaf_sequence(dnc::Traversal::kRowMajor);
-  ASSERT_GT(row_major.size(), 1u);
-  EXPECT_TRUE(std::is_sorted(
-      row_major.begin(), row_major.end(),
-      [](const dnc::Region& a, const dnc::Region& b) {
-        return std::tie(a.row_begin, a.col_begin) <
-               std::tie(b.row_begin, b.col_begin);
-      }));
-  EXPECT_EQ(row_major, dnc::leaves(share, 8, dnc::Traversal::kRowMajor));
-
-  EXPECT_EQ(partition_leaf_sequence(dnc::Traversal::kHilbert),
-            dnc::leaves(share, 8, dnc::Traversal::kHilbert));
+  ASSERT_GT(handed.size(), share.size());
+  EXPECT_EQ(handed, dnc::leaves(share, 8));
 }
 
 TEST(StealExporter, EmptyOutsideInstallWindow) {
